@@ -5,57 +5,9 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/dist_context.h"
-#include "core/hplai.h"
-#include "core/lu_dist.h"
-#include "device/shim.h"
-#include "gen/matgen.h"
-#include "simmpi/runtime.h"
 #include "trace/progress.h"
-#include "trace/sched_timeline.h"
-#include "util/buffer.h"
-#include "util/timer.h"
 
 using namespace hplmxp;
-
-namespace {
-
-/// Factors one functional problem under the given scheduler, returning
-/// (seconds, scheduler timeline stats from rank 0).
-std::pair<double, TaskGraph::ExecStats> timeFactorization(
-    HplaiConfig cfg, HplaiConfig::Scheduler sched) {
-  cfg.scheduler = sched;
-  double seconds = 0.0;
-  TaskGraph::ExecStats stats;
-  simmpi::run(cfg.worldSize(), [&](simmpi::Comm& world) {
-    DistContext ctx(world, cfg);
-    const ProblemGenerator gen(cfg.seed, cfg.n);
-    const index_t b = cfg.b;
-    const index_t lda = ctx.localRows();
-    Buffer<float> local(ctx.localRows() * ctx.localCols());
-    const BlockCyclic& layout = ctx.layout();
-    for (index_t lj = 0; lj < ctx.localCols() / b; ++lj) {
-      for (index_t li = 0; li < ctx.localRows() / b; ++li) {
-        gen.fillTile<float>(layout.globalBlockRow(ctx.myRow(), li) * b,
-                            layout.globalBlockCol(ctx.myCol(), lj) * b, b, b,
-                            local.data() + li * b + lj * b * lda, lda);
-      }
-    }
-    BlasShim shim(cfg.vendor);
-    DistLU lu(ctx, cfg, shim);
-    world.barrier();
-    Timer timer;
-    lu.factor(local.data(), lda);
-    world.barrier();
-    if (world.rank() == 0) {
-      seconds = timer.seconds();
-      stats = lu.schedStats();
-    }
-  });
-  return {seconds, stats};
-}
-
-}  // namespace
 
 int main() {
   bench::banner("Fig. 10",
@@ -125,44 +77,5 @@ int main() {
               "%.0f%% of the remaining node-hours.\n",
               (long long)(nb / 2), (long long)terminatedAt,
               (1.0 - (double)terminatedAt / (double)nb) * 100.0);
-
-  // Scheduler comparison on the functional substrate: the same problem
-  // factored by the bulk (barriered) engine and by the dataflow task
-  // graph, with the per-task timeline showing where the dataflow engine
-  // hides communication and what the lanes did.
-  bench::banner("Scheduler", "bulk vs dataflow tile task graph (functional)");
-  HplaiConfig fcfg;
-  fcfg.n = 1024;
-  fcfg.b = 64;
-  fcfg.pr = 2;
-  fcfg.pc = 2;
-  fcfg.seed = 2022;
-  fcfg.panelBcast = simmpi::BcastStrategy::kRing2M;
-  fcfg.lookahead = true;
-
-  const auto [bulkSeconds, bulkStats] =
-      timeFactorization(fcfg, HplaiConfig::Scheduler::kBulk);
-  const auto [dfSeconds, dfStats] =
-      timeFactorization(fcfg, HplaiConfig::Scheduler::kDataflow);
-
-  Table cmp({"scheduler", "factor s", "speedup"});
-  cmp.addRow({"bulk", Table::num(bulkSeconds, 4), "1.00"});
-  cmp.addRow({"dataflow", Table::num(dfSeconds, 4),
-              Table::num(dfSeconds > 0.0 ? bulkSeconds / dfSeconds : 0.0,
-                         2)});
-  cmp.print();
-
-  std::printf("\nrank-0 dataflow timeline:\n%s\n",
-              trace::renderSchedTimeline(
-                  trace::summarizeSchedTimeline(dfStats))
-                  .c_str());
-  Table kinds({"task kind", "count", "seconds"});
-  for (const trace::SchedKindBreakdown& row :
-       trace::schedKindBreakdown(dfStats)) {
-    kinds.addRow({toString(row.kind),
-                  Table::num(static_cast<long long>(row.count)),
-                  Table::num(row.seconds, 4)});
-  }
-  kinds.print();
   return 0;
 }

@@ -84,7 +84,6 @@ int cmdRun(const Options& raw) {
   cfg.panelBcast =
       simmpi::bcastStrategyFromString(opts.getString("bcast", "ring2m"));
   cfg.lookahead = opts.getBool("lookahead", true);
-  cfg.scheduler = schedulerFromString(opts.getString("scheduler", "bulk"));
   cfg.collectTrace = opts.getBool("trace", false);
   cfg.refiner = opts.getString("refiner", "ir") == "gmres"
                     ? HplaiConfig::Refiner::kGmres
@@ -128,11 +127,10 @@ int cmdRun(const Options& raw) {
   }
 
   std::printf("hplmxp run: N=%lld B=%lld grid=%lldx%lld bcast=%s "
-              "refiner=%s scheduler=%s\n",
+              "refiner=%s\n",
               (long long)cfg.n, (long long)cfg.b, (long long)cfg.pr,
               (long long)cfg.pc, simmpi::toString(cfg.panelBcast).c_str(),
-              cfg.refiner == HplaiConfig::Refiner::kGmres ? "gmres" : "ir",
-              toString(cfg.scheduler));
+              cfg.refiner == HplaiConfig::Refiner::kGmres ? "gmres" : "ir");
 
   std::vector<double> x;
   const HplaiResult r = runHplai(cfg, &x);
@@ -389,7 +387,6 @@ int cmdChaos(const Options& raw) {
   cfg.panelBcast =
       simmpi::bcastStrategyFromString(opts.getString("bcast", "bcast"));
   cfg.lookahead = opts.getBool("lookahead", false);
-  cfg.scheduler = schedulerFromString(opts.getString("scheduler", "bulk"));
   cfg.refiner = opts.getString("refiner", "ir") == "gmres"
                     ? HplaiConfig::Refiner::kGmres
                     : HplaiConfig::Refiner::kClassicIr;
@@ -590,9 +587,8 @@ int cmdRecover(const Options& raw) {
   cfg.seed = static_cast<std::uint64_t>(opts.getInt("seed", 7321));
   cfg.panelBcast =
       simmpi::bcastStrategyFromString(opts.getString("bcast", "bcast"));
-  // Recovery requires deterministic step replay: bulk, no look-ahead.
+  // Recovery requires deterministic step replay: no look-ahead.
   cfg.lookahead = false;
-  cfg.scheduler = HplaiConfig::Scheduler::kBulk;
   cfg.n = adjustProblemSize(cfg.n, cfg.b, cfg.pr, cfg.pc);
   cfg.recovery.enabled = opts.getBool("recovery.enabled", true);
   cfg.recovery.checkpointEveryK = opts.getInt("recovery.every-k", 4);
@@ -971,8 +967,7 @@ int cmdServe(const Options& raw) {
 
   const auto toRequest = [](const serve::TraceRequest& tr) {
     serve::SolveRequest req;
-    req.key = {tr.n, tr.b, tr.seed, tr.pr, tr.pc,
-               HplaiConfig::Scheduler::kBulk, tr.precision};
+    req.key = {tr.n, tr.b, tr.seed, tr.pr, tr.pc, tr.precision};
     req.rhsSeed = tr.rhsSeed;
     req.deadlineSeconds = tr.deadlineMs * 1e-3;
     return req;
@@ -1249,7 +1244,7 @@ std::string usage() {
       "commands:\n"
       "  run      functional distributed HPL-AI on this host\n"
       "           (--n --b --pr --pc --bcast --refiner ir|gmres\n"
-      "            --lookahead on|off --scheduler bulk|dataflow\n"
+      "            --lookahead on|off\n"
       "            --vendor amd|nvidia --seed\n"
       "            --trace --warmup --save-reference FILE\n"
       "            --reference FILE [--slowdown X --strikes N])\n"

@@ -40,17 +40,11 @@ struct HplaiConfig {
   /// trailing update (Sec. IV-B).
   bool lookahead = true;
 
-  /// LU step execution engine. kBulk is the barriered reference schedule
-  /// (GETRF -> TRSM -> CAST -> GEMM as bulk kernels, optionally with the
-  /// look-ahead split). kDataflow runs the same step as a tile-granular
-  /// task graph (util/task_graph.h): every TRSM/CAST/GEMM tile is a node
-  /// with atomic dependency counters, so a GEMM tile fires the moment its
-  /// L-tile, U-tile and C-tile predecessors retire — no inter-kernel
-  /// barriers, and the next steps' panel tasks interleave with the current
-  /// trailing update. The factored matrix is bitwise identical between the
-  /// two engines (tests/test_sched_equiv.cpp); `lookahead` is ignored by
-  /// kDataflow, whose whole-factorization graph subsumes it.
-  enum class Scheduler { kBulk, kDataflow };
+  /// Retired knob, read by nothing in src/: every factorization runs the
+  /// bulk step loop (optionally with look-ahead). The one-value enum and
+  /// the field exist only so perfbench/driver/lu.cpp, which assigns kBulk,
+  /// still compiles; both go with the next benchmark revision.
+  enum class Scheduler { kBulk };
   Scheduler scheduler = Scheduler::kBulk;
 
   /// Which vendor dispatch path the shim takes (Table II).
@@ -105,8 +99,8 @@ struct HplaiConfig {
   bool abftGemm = false;
 
   /// Crash-rank recovery (simmpi/recovery.h): rotating in-memory
-  /// checkpoints plus comm-replay resurrection. Requires the bulk
-  /// scheduler without look-ahead and RunOptions.replayLog.
+  /// checkpoints plus comm-replay resurrection. Requires look-ahead off
+  /// and RunOptions.replayLog.
   simmpi::RecoveryConfig recovery;
 
   /// Shared sink for recovery/ABFT tallies (checkpoint, replay, flip
@@ -135,37 +129,11 @@ struct HplaiConfig {
     HPLMXP_REQUIRE(n / b >= 1, "need at least one block");
     HPLMXP_REQUIRE(maxIrIterations >= 1, "need at least one IR iteration");
     recovery.validate();
-    HPLMXP_REQUIRE(!recovery.enabled ||
-                       (!lookahead && scheduler == Scheduler::kBulk),
-                   "crash recovery requires the bulk scheduler without "
-                   "look-ahead (deterministic step replay)");
+    HPLMXP_REQUIRE(!recovery.enabled || !lookahead,
+                   "crash recovery requires look-ahead off (deterministic "
+                   "step replay)");
   }
 };
-
-[[nodiscard]] constexpr const char* toString(HplaiConfig::Scheduler s) {
-  return s == HplaiConfig::Scheduler::kDataflow ? "dataflow" : "bulk";
-}
-
-/// Scheduler a run should actually use given the pool's lane count: the
-/// dataflow engine needs at least two execution lanes (the caller plus one
-/// worker it can borrow) to overlap anything — on a single-lane pool its
-/// task graph degenerates to bulk order while still paying graph-build
-/// overhead (observed in PR 2's breakdown bench), so requests for dataflow
-/// fall back to bulk there. The override is logged once per process.
-[[nodiscard]] HplaiConfig::Scheduler effectiveScheduler(
-    HplaiConfig::Scheduler requested, index_t poolLanes);
-
-/// Parses "bulk" / "dataflow"; throws CheckError on anything else.
-[[nodiscard]] inline HplaiConfig::Scheduler schedulerFromString(
-    const std::string& s) {
-  if (s == "bulk") {
-    return HplaiConfig::Scheduler::kBulk;
-  }
-  if (s == "dataflow") {
-    return HplaiConfig::Scheduler::kDataflow;
-  }
-  throw CheckError("unknown scheduler '" + s + "' (want bulk|dataflow)");
-}
 
 /// Adjusts a requested problem size the way the paper does (Sec. III-C:
 /// "The size of A is determined by N and adjusted to a multiple of Pr, Pc

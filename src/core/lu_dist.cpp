@@ -30,12 +30,10 @@ DistLU::DistLU(DistContext& ctx, const HplaiConfig& config, BlasShim& shim)
     : ctx_(ctx), config_(config), shim_(shim) {
   const index_t b = config_.b;
   diagBuf_.allocate(b * b);
-  // The look-ahead pipeline and the dataflow graph both keep two panel
-  // generations in flight (step k's GEMM reads buffer set k%2 while step
-  // k+1's panels land in the other set).
-  const bool dataflow =
-      config_.scheduler == HplaiConfig::Scheduler::kDataflow;
-  const index_t panelBufs = (config_.lookahead || dataflow) ? 2 : 1;
+  // The look-ahead pipeline keeps two panel generations in flight (step
+  // k's GEMM reads buffer set k%2 while step k+1's panels land in the
+  // other set).
+  const index_t panelBufs = config_.lookahead ? 2 : 1;
   for (index_t i = 0; i < panelBufs; ++i) {
     lHalf_[i].allocate(ctx_.localRows() * b);
     uHalf_[i].allocate(ctx_.localCols() * b);
@@ -72,37 +70,24 @@ void DistLU::guardDiag(const StepGeom& g) const {
   }
 }
 
-void DistLU::guardHalfU(const StepGeom& g, int bufIdx) const {
-  const index_t b = config_.b;
-  if (g.w > 0) {
-    const blas::AbnormalScan s = blas::scanAbnormal(
-        g.w, b, uHalf_[bufIdx].data(), g.w, kHalfGuardLimit);
-    if (s) {
-      throw blas::AbnormalValueError(
-          "LU step " + std::to_string(g.k) + " rank " +
-          std::to_string(ctx_.rank()) + ": corrupted FP16 U panel: " +
-          s.describe());
-    }
-  }
-}
-
-void DistLU::guardHalfL(const StepGeom& g, int bufIdx) const {
-  const index_t b = config_.b;
-  if (g.h > 0) {
-    const blas::AbnormalScan s = blas::scanAbnormal(
-        g.h, b, lHalf_[bufIdx].data(), g.h, kHalfGuardLimit);
-    if (s) {
-      throw blas::AbnormalValueError(
-          "LU step " + std::to_string(g.k) + " rank " +
-          std::to_string(ctx_.rank()) + ": corrupted FP16 L panel: " +
-          s.describe());
-    }
-  }
-}
-
 void DistLU::guardHalfPanels(const StepGeom& g, int bufIdx) const {
-  guardHalfU(g, bufIdx);
-  guardHalfL(g, bufIdx);
+  const index_t b = config_.b;
+  const auto check = [&](index_t extent, const half16* panel,
+                         const char* name) {
+    if (extent <= 0) {
+      return;
+    }
+    const blas::AbnormalScan s =
+        blas::scanAbnormal(extent, b, panel, extent, kHalfGuardLimit);
+    if (s) {
+      throw blas::AbnormalValueError(
+          "LU step " + std::to_string(g.k) + " rank " +
+          std::to_string(ctx_.rank()) + ": corrupted FP16 " + name +
+          " panel: " + s.describe());
+    }
+  };
+  check(g.w, uHalf_[bufIdx].data(), "U");
+  check(g.h, lHalf_[bufIdx].data(), "L");
 }
 
 void DistLU::guardTile(index_t k, index_t m, index_t n, const float* tile,
@@ -443,10 +428,6 @@ std::vector<IterationTrace> DistLU::factor(float* localA, index_t lda) {
   HPLMXP_REQUIRE(lda >= ctx_.localRows(), "lda too small for local matrix");
   aborted_ = false;
   stepsCompleted_ = 0;
-  schedStats_ = TaskGraph::ExecStats{};
-  if (config_.scheduler == HplaiConfig::Scheduler::kDataflow) {
-    return factorDataflow(localA, lda);
-  }
   const index_t nb = ctx_.layout().globalBlocks();
   const bool tracing = config_.collectTrace && ctx_.rank() == 0;
   std::vector<IterationTrace> traces;
@@ -497,8 +478,7 @@ std::vector<IterationTrace> DistLU::factor(float* localA, index_t lda) {
     return traces;
   }
   HPLMXP_REQUIRE(recovery_ == nullptr || !config_.recovery.enabled,
-                 "crash recovery requires the bulk scheduler without "
-                 "look-ahead");
+                 "crash recovery requires look-ahead off");
 
   // Look-ahead pipeline.
   StepGeom g = geometry(0);
@@ -519,347 +499,6 @@ std::vector<IterationTrace> DistLU::factor(float* localA, index_t lda) {
     if (pollAbort(k, iterTimer.seconds())) {
       aborted_ = true;
       break;
-    }
-  }
-  return traces;
-}
-
-std::vector<IterationTrace> DistLU::factorDataflow(float* localA,
-                                                   index_t lda) {
-  using Id = TaskGraph::TaskId;
-  const index_t nb = ctx_.layout().globalBlocks();
-  const index_t b = config_.b;
-  const index_t rb = ctx_.localRows() / b;  // local block rows
-  const index_t cb = ctx_.localCols() / b;  // local block cols
-  const bool tracing = config_.collectTrace && ctx_.rank() == 0;
-  std::vector<IterationTrace> traces;
-  if (tracing) {
-    traces.resize(static_cast<std::size_t>(nb));
-    for (index_t k = 0; k < nb; ++k) {
-      traces[static_cast<std::size_t>(k)].k = k;
-      traces[static_cast<std::size_t>(k)].trailingBlocks = nb - k - 1;
-    }
-  }
-
-  // The whole factorization is ONE task graph per rank. Within a step the
-  // tile edges express the algorithm's true dependencies; across steps the
-  // C-tile edges (GEMM_k(i,j) after GEMM_{k-1}(i,j)) and the buffer
-  // anti-dependencies below express exactly when memory may be reused, so
-  // panel work of step k+1 interleaves with trailing tiles of step k (the
-  // look-ahead of Sec. IV-B, generalized to arbitrary depth-2 pipelining).
-  //
-  // Shared-buffer hazards made explicit as edges:
-  //  * diagBuf_ holds step k's factored diagonal; step k+1's GETRF /
-  //    diag-bcast overwrite it, so they wait on every step-k TRSM tile
-  //    (the readers) and on the step-k diag-bcast.
-  //  * uHalf_/lHalf_ rotate over 2 generations; step k reuses set k%2,
-  //    last used by step k-2, so one aggregator node per step waits on all
-  //    GEMM tiles and panel broadcasts of step k-2.
-  TaskGraph graph;
-  auto dep = [&graph](Id before, Id after) {
-    if (before != TaskGraph::kNoTask && after != TaskGraph::kNoTask) {
-      graph.addDep(before, after);
-    }
-  };
-
-  std::vector<StepGeom> geom;
-  geom.reserve(static_cast<std::size_t>(nb));
-  for (index_t k = 0; k < nb; ++k) {
-    geom.push_back(geometry(k));
-  }
-
-  const std::size_t tilesPerStep = static_cast<std::size_t>(rb * cb);
-  std::vector<std::vector<Id>> gemmIds(
-      static_cast<std::size_t>(nb),
-      std::vector<Id>(tilesPerStep, TaskGraph::kNoTask));
-  auto gemmAt = [&](index_t k, index_t ib, index_t jb) -> Id {
-    if (k < 0 || ib < 0 || jb < 0 || ib >= rb || jb >= cb) {
-      return TaskGraph::kNoTask;
-    }
-    return gemmIds[static_cast<std::size_t>(k)]
-                  [static_cast<std::size_t>(ib * cb + jb)];
-  };
-  std::vector<Id> getrfId(static_cast<std::size_t>(nb), TaskGraph::kNoTask);
-  std::vector<Id> diagBcast(static_cast<std::size_t>(nb), TaskGraph::kNoTask);
-  std::vector<Id> uBcast(static_cast<std::size_t>(nb), TaskGraph::kNoTask);
-  std::vector<Id> lBcast(static_cast<std::size_t>(nb), TaskGraph::kNoTask);
-  std::vector<std::vector<Id>> trsmU(static_cast<std::size_t>(nb));
-  std::vector<std::vector<Id>> trsmL(static_cast<std::size_t>(nb));
-
-  const bool hooks =
-      static_cast<bool>(progress_) || static_cast<bool>(rankProgress_);
-  Timer pollClock;
-  double lastPollMark = 0.0;
-
-  for (index_t k = 0; k < nb; ++k) {
-    const StepGeom g = geom[static_cast<std::size_t>(k)];
-    const int buf = static_cast<int>(k % 2);
-    trsmU[static_cast<std::size_t>(k)].assign(static_cast<std::size_t>(cb),
-                                              TaskGraph::kNoTask);
-    trsmL[static_cast<std::size_t>(k)].assign(static_cast<std::size_t>(rb),
-                                              TaskGraph::kNoTask);
-
-    // Panel-buffer reuse aggregator: set k%2 is free once step k-2's
-    // readers (its GEMM tiles and panel broadcasts) have retired.
-    Id bufFree = TaskGraph::kNoTask;
-    if (k >= 2) {
-      bufFree = graph.add(TaskKind::kGeneric, k, [] {});
-      const StepGeom& p = geom[static_cast<std::size_t>(k - 2)];
-      for (index_t ib = p.iStartBlk; ib < rb; ++ib) {
-        for (index_t jb = p.jStartBlk; jb < cb; ++jb) {
-          dep(gemmAt(k - 2, ib, jb), bufFree);
-        }
-      }
-      dep(uBcast[static_cast<std::size_t>(k - 2)], bufFree);
-      dep(lBcast[static_cast<std::size_t>(k - 2)], bufFree);
-    }
-
-    // ---- (1a) Diagonal Update ------------------------------------------
-    if (g.ownDiag) {
-      Id t = graph.add(TaskKind::kGetrf, k, [this, g, localA, lda, b] {
-        float* src = localA + g.lkRow * b + g.lkCol * b * lda;
-        for (index_t j = 0; j < b; ++j) {
-          std::memcpy(diagBuf_.data() + j * b, src + j * lda,
-                      static_cast<std::size_t>(b) * sizeof(float));
-        }
-        if (shim_.vendor() == Vendor::kNvidia) {
-          (void)shim_.getrfBufferSize(b, b);  // cuSOLVER two-step protocol
-        }
-        shim_.getrf(b, diagBuf_.data(), b);
-        for (index_t j = 0; j < b; ++j) {
-          std::memcpy(src + j * lda, diagBuf_.data() + j * b,
-                      static_cast<std::size_t>(b) * sizeof(float));
-        }
-      });
-      dep(gemmAt(k - 1, g.lkRow, g.lkCol), t);
-      getrfId[static_cast<std::size_t>(k)] = t;
-    }
-    if (g.ownRow || g.ownCol) {
-      Id t = graph.addMain(TaskKind::kDiagBcast, k, [this, g, b] {
-        if (g.ownRow) {
-          ctx_.rowComm().bcast(g.pic, diagBuf_.data(), b * b);
-        }
-        if (g.ownCol) {
-          ctx_.colComm().bcast(g.pir, diagBuf_.data(), b * b);
-        }
-        if (config_.guardPanels) {
-          guardDiag(g);
-        }
-      });
-      dep(getrfId[static_cast<std::size_t>(k)], t);
-      diagBcast[static_cast<std::size_t>(k)] = t;
-    }
-    // diagBuf_ anti-dependency: step k's GETRF/diag-bcast overwrite the
-    // block that step k-1's TRSM tiles are still reading.
-    if (k >= 1) {
-      const Id diagWriter = getrfId[static_cast<std::size_t>(k)] !=
-                                    TaskGraph::kNoTask
-                                ? getrfId[static_cast<std::size_t>(k)]
-                                : diagBcast[static_cast<std::size_t>(k)];
-      if (diagWriter != TaskGraph::kNoTask) {
-        dep(diagBcast[static_cast<std::size_t>(k - 1)], diagWriter);
-        for (const Id t : trsmU[static_cast<std::size_t>(k - 1)]) {
-          dep(t, diagWriter);
-        }
-        for (const Id t : trsmL[static_cast<std::size_t>(k - 1)]) {
-          dep(t, diagWriter);
-        }
-      }
-    }
-
-    // ---- (1b) Panel Update, tile-granular ------------------------------
-    std::vector<Id> castUIds;
-    std::vector<Id> castLIds;
-    if (g.ownRow && g.w > 0) {
-      for (index_t jb = g.jStartBlk; jb < cb; ++jb) {
-        Id t = graph.add(TaskKind::kTrsm, k, [this, g, localA, lda, b, jb] {
-          float* tile = localA + g.lkRow * b + jb * b * lda;
-          blas::strsm(blas::Side::kLeft, blas::Uplo::kLower,
-                      blas::Diag::kUnit, b, b, 1.0f, diagBuf_.data(), b,
-                      tile, lda, &serialPool_);
-        });
-        dep(diagBcast[static_cast<std::size_t>(k)], t);
-        dep(gemmAt(k - 1, g.lkRow, jb), t);
-        trsmU[static_cast<std::size_t>(k)][static_cast<std::size_t>(jb)] = t;
-
-        Id c = graph.add(TaskKind::kCast, k,
-                         [this, g, localA, lda, b, jb, buf] {
-          const float* tile = localA + g.lkRow * b + jb * b * lda;
-          half16* dst =
-              uHalf_[buf].data() + (jb - g.jStartBlk) * b;
-          blas::transCastToHalf(b, b, tile, lda, dst, g.w, &serialPool_);
-        });
-        dep(t, c);
-        dep(bufFree, c);
-        castUIds.push_back(c);
-      }
-    }
-    if (g.ownCol && g.h > 0) {
-      for (index_t ib = g.iStartBlk; ib < rb; ++ib) {
-        Id t = graph.add(TaskKind::kTrsm, k, [this, g, localA, lda, b, ib] {
-          float* tile = localA + ib * b + g.lkCol * b * lda;
-          blas::strsm(blas::Side::kRight, blas::Uplo::kUpper,
-                      blas::Diag::kNonUnit, b, b, 1.0f, diagBuf_.data(), b,
-                      tile, lda, &serialPool_);
-        });
-        dep(diagBcast[static_cast<std::size_t>(k)], t);
-        dep(gemmAt(k - 1, ib, g.lkCol), t);
-        trsmL[static_cast<std::size_t>(k)][static_cast<std::size_t>(ib)] = t;
-
-        Id c = graph.add(TaskKind::kCast, k,
-                         [this, g, localA, lda, b, ib, buf] {
-          const float* tile = localA + ib * b + g.lkCol * b * lda;
-          half16* dst =
-              lHalf_[buf].data() + (ib - g.iStartBlk) * b;
-          blas::castToHalf(b, b, tile, lda, dst, g.h, &serialPool_);
-        });
-        dep(t, c);
-        dep(bufFree, c);
-        castLIds.push_back(c);
-      }
-    }
-
-    // Panel broadcasts: main-lane so every rank issues its collectives in
-    // the identical (step-ascending, U-before-L) order on its own thread.
-    if (g.w > 0) {
-      Id t = graph.addMain(TaskKind::kPanelBcast, k, [this, g, buf] {
-        broadcast(ctx_.colComm(), config_.panelBcast, g.pir,
-                  uHalf_[buf].data(), g.w * config_.b);
-        if (config_.abftPanels) {
-          // Main-lane FIFO keeps the checksum collective in the same
-          // globally consistent order on every rank.
-          abftProtectU(g, buf, nullptr);
-        }
-        if (config_.guardPanels) {
-          guardHalfU(g, buf);
-        }
-      });
-      dep(bufFree, t);
-      for (const Id c : castUIds) {
-        dep(c, t);  // root's panel must be fully cast before it is sent
-      }
-      uBcast[static_cast<std::size_t>(k)] = t;
-    }
-    if (g.h > 0) {
-      Id t = graph.addMain(TaskKind::kPanelBcast, k, [this, g, buf] {
-        broadcast(ctx_.rowComm(), config_.panelBcast, g.pic,
-                  lHalf_[buf].data(), g.h * config_.b);
-        if (config_.abftPanels) {
-          abftProtectL(g, buf, nullptr);
-        }
-        if (config_.guardPanels) {
-          guardHalfL(g, buf);
-        }
-      });
-      dep(bufFree, t);
-      for (const Id c : castLIds) {
-        dep(c, t);
-      }
-      lBcast[static_cast<std::size_t>(k)] = t;
-    }
-
-    // ---- (1c) Update Trailing Matrix, one task per tile ----------------
-    if (g.h > 0 && g.w > 0) {
-      for (index_t ib = g.iStartBlk; ib < rb; ++ib) {
-        for (index_t jb = g.jStartBlk; jb < cb; ++jb) {
-          Id t = graph.add(TaskKind::kGemm, k,
-                           [this, g, localA, lda, b, ib, jb, buf] {
-            const half16* l = lHalf_[buf].data() + (ib - g.iStartBlk) * b;
-            const half16* u = uHalf_[buf].data() + (jb - g.jStartBlk) * b;
-            float* c = localA + ib * b + jb * b * lda;
-            // Task-local scratch: tile tasks run concurrently on workers.
-            std::vector<double> row64;
-            if (config_.abftGemm) {
-              row64.resize(static_cast<std::size_t>(b));
-              blas::abftRowSums64(b, b, c, lda, row64.data());
-            }
-            blas::gemmMixed(blas::Trans::kNoTrans, blas::Trans::kTrans, b, b,
-                            b, -1.0f, l, g.h, u, g.w, 1.0f, c, lda,
-                            &serialPool_);
-            if (config_.abftGemm) {
-              const blas::AbftGemmCheck chk = blas::abftGemmCarryCheck(
-                  b, b, b, row64.data(), l, g.h, u, g.w, c, lda);
-              if (config_.recoveryStats) {
-                config_.recoveryStats->abftGemmChecks.fetch_add(1);
-              }
-              if (chk) {
-                throw blas::AbnormalValueError(
-                    "LU step " + std::to_string(g.k) + " rank " +
-                    std::to_string(ctx_.rank()) +
-                    ": trailing-update row-sum invariant violated at local "
-                    "row " + std::to_string(chk.row));
-              }
-            }
-            if (config_.guardPanels) {
-              guardTile(g.k, b, b, c, lda);
-            }
-          });
-          dep(uBcast[static_cast<std::size_t>(k)], t);
-          dep(lBcast[static_cast<std::size_t>(k)], t);
-          dep(gemmAt(k - 1, ib, jb), t);
-          gemmIds[static_cast<std::size_t>(k)]
-                 [static_cast<std::size_t>(ib * cb + jb)] = t;
-        }
-      }
-    }
-
-    // Collective abort poll, one per step on every rank (the poll itself
-    // is a collective). Main-lane FIFO order places it after this step's
-    // broadcasts on every rank.
-    if (hooks) {
-      Id t = graph.addMain(TaskKind::kPoll, k,
-                           [this, k, &graph, &pollClock, &lastPollMark] {
-        const double now = pollClock.seconds();
-        const double iterSeconds = now - lastPollMark;
-        lastPollMark = now;
-        if (pollAbort(k, iterSeconds)) {
-          aborted_ = true;
-          graph.cancel();
-        }
-        ++stepsCompleted_;
-      });
-      dep(diagBcast[static_cast<std::size_t>(k)], t);
-      dep(uBcast[static_cast<std::size_t>(k)], t);
-      dep(lBcast[static_cast<std::size_t>(k)], t);
-      for (index_t ib = g.iStartBlk; ib < rb; ++ib) {
-        for (index_t jb = g.jStartBlk; jb < cb; ++jb) {
-          dep(gemmAt(k, ib, jb), t);
-        }
-      }
-    }
-  }
-
-  schedStats_ = graph.execute(ThreadPool::global());
-
-  if (!hooks && !schedStats_.cancelled) {
-    stepsCompleted_ = nb;
-  }
-  if (tracing) {
-    for (const TaskGraph::TaskRecord& rec : schedStats_.records) {
-      if (rec.skipped || rec.step < 0 || rec.step >= nb) {
-        continue;
-      }
-      IterationTrace& tr = traces[static_cast<std::size_t>(rec.step)];
-      switch (rec.kind) {
-        case TaskKind::kGetrf:
-        case TaskKind::kDiagBcast:
-          tr.diagSeconds += rec.seconds();
-          break;
-        case TaskKind::kTrsm:
-          tr.trsmSeconds += rec.seconds();
-          break;
-        case TaskKind::kCast:
-          tr.castSeconds += rec.seconds();
-          break;
-        case TaskKind::kPanelBcast:
-          tr.bcastSeconds += rec.seconds();
-          break;
-        case TaskKind::kGemm:
-          tr.gemmSeconds += rec.seconds();
-          break;
-        default:
-          break;
-      }
     }
   }
   return traces;

@@ -34,8 +34,6 @@
 #include "fp16/half.h"
 #include "simmpi/recovery.h"
 #include "util/buffer.h"
-#include "util/task_graph.h"
-#include "util/thread_pool.h"
 
 namespace hplmxp {
 
@@ -83,13 +81,6 @@ class DistLU {
   /// Block steps completed by the last factor().
   [[nodiscard]] index_t stepsCompleted() const { return stepsCompleted_; }
 
-  /// Per-task execution timeline of the last factor() under the dataflow
-  /// scheduler (empty for the bulk scheduler). Feed it to
-  /// trace::summarizeSchedTimeline for idle/steal/overlap attribution.
-  [[nodiscard]] const TaskGraph::ExecStats& schedStats() const {
-    return schedStats_;
-  }
-
  private:
   /// Geometry of one block step, identical on every rank.
   struct StepGeom {
@@ -129,13 +120,6 @@ class DistLU {
   /// the verdict. Returns true when the run must stop.
   bool pollAbort(index_t k, double iterSeconds);
 
-  /// Dataflow engine (config.scheduler == kDataflow): builds one
-  /// whole-factorization task graph — every TRSM/CAST/GEMM tile a node,
-  /// every collective a main-lane task in a globally consistent order —
-  /// and runs it on the shared thread pool with work stealing. Bitwise
-  /// identical results to the bulk path.
-  std::vector<IterationTrace> factorDataflow(float* localA, index_t lda);
-
   /// ABFT panel protection (config.abftPanels): broadcast the root's
   /// checksums after each panel broadcast and verify/correct on every
   /// rank. Throws blas::AbnormalValueError on uncorrectable corruption.
@@ -153,8 +137,6 @@ class DistLU {
   /// Self-healing guard scans (config.guardPanels): throw
   /// blas::AbnormalValueError with step context on corruption.
   void guardDiag(const StepGeom& g) const;
-  void guardHalfU(const StepGeom& g, int bufIdx) const;
-  void guardHalfL(const StepGeom& g, int bufIdx) const;
   void guardHalfPanels(const StepGeom& g, int bufIdx) const;
   void guardTile(index_t k, index_t m, index_t n, const float* tile,
                  index_t lda) const;
@@ -168,18 +150,12 @@ class DistLU {
   bool aborted_ = false;
   index_t stepsCompleted_ = 0;
 
-  std::vector<float> abftSums_;    // checksum bcast scratch (bulk path)
-  std::vector<double> abftRow64_;  // GEMM carry-check scratch (bulk path)
+  std::vector<float> abftSums_;    // checksum bcast scratch
+  std::vector<double> abftRow64_;  // GEMM carry-check scratch
 
   Buffer<float> diagBuf_;
   Buffer<half16> lHalf_[2];
   Buffer<half16> uHalf_[2];
-
-  /// Caller-only pool handed to the per-tile kernels of the dataflow path:
-  /// each tile is already one task of the graph, so nesting a parallelFor
-  /// inside it would oversubscribe the shared pool.
-  ThreadPool serialPool_{1};
-  TaskGraph::ExecStats schedStats_;
 };
 
 }  // namespace hplmxp

@@ -43,15 +43,6 @@ struct ParallelBound {
     return getrf + trsmRow + trsmCol +
            std::max(bcastRow + bcastCol, gemm);
   }
-  /// Dataflow tile scheduler: TRSM tiles, CAST, and both broadcasts all
-  /// overlap the trailing GEMM as soon as per-tile dependencies allow, so
-  /// everything after the (serializing) diagonal factorization folds into
-  /// max(panel pipeline, GEMM). Only GETRF stays on the critical path —
-  /// each step's diagonal depends on the previous step's update.
-  [[nodiscard]] double totalWithDataflow() const {
-    return getrf +
-           std::max(trsmRow + trsmCol + bcastRow + bcastCol, gemm);
-  }
 };
 
 /// Eq. 3: projected parallel upper bound for the full factorization.

@@ -14,13 +14,13 @@
 //                                                        │
 //                                             Handle(done) + metrics
 //
-// Worker loops run on dedicated std::threads owned by the engine — NOT as
-// ThreadPool::enqueue tasks, because the pool spawns lanes-1 worker
-// threads and on a single-lane machine a fire-and-forget task would never
-// be popped (the caller is the only lane). Solver kernels invoked inside a
-// worker still ride the shared ThreadPool through its caller-participates
-// parallel-for, so a dispatcher thread is itself a full execution lane and
-// the engine is deadlock-free at any pool width. A worker executes its
+// Worker loops run on dedicated std::threads owned by the engine — NOT on
+// ThreadPool workers, because the pool spawns lanes-1 worker threads and on
+// a single-lane machine a pool task would never be popped (the caller is
+// the only lane). Solver kernels invoked inside a worker still ride the
+// shared ThreadPool through its caller-participates parallel-for, so a
+// dispatcher thread is itself a full execution lane and the engine is
+// deadlock-free at any pool width. A worker executes its
 // batches inline and never blocks on another worker except through the
 // factor cache's single-flight wait, which is bounded by one
 // factorization.

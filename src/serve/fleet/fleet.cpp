@@ -548,6 +548,11 @@ FleetReport FleetEngine::report() const {
   r.shards = static_cast<index_t>(shards_.size());
 
   FactorCache::Stats cacheSum;
+  // Batches form inside the shard engines; the fleet recorder only sees
+  // finished requests, so the batching figures roll up from the shards.
+  std::uint64_t batchedSolves = 0;
+  double batchedColumns = 0.0;
+  index_t maxBatchSize = 0;
   const std::vector<CircuitBreaker::KeySnapshot> health = health_.snapshot();
   for (const auto& sh : shards_) {
     ShardReport s;
@@ -599,10 +604,19 @@ FleetReport FleetEngine::report() const {
     cacheSum.factorCount += cs.factorCount;
     cacheSum.bytesInUse += cs.bytesInUse;
     cacheSum.budgetBytes += cs.budgetBytes;
+    batchedSolves += s.report.batchedSolves;
+    batchedColumns += s.report.meanBatchSize *
+                      static_cast<double>(s.report.batchedSolves);
+    maxBatchSize = std::max(maxBatchSize, s.report.maxBatchSize);
     r.perShard.push_back(std::move(s));
   }
 
   r.fleet = recorder_.report(cacheSum, clock_.seconds(), 0);
+  r.fleet.batchedSolves = batchedSolves;
+  r.fleet.meanBatchSize =
+      batchedSolves > 0 ? batchedColumns / static_cast<double>(batchedSolves)
+                        : 0.0;
+  r.fleet.maxBatchSize = maxBatchSize;
   r.reroutes = reroutes_.load(std::memory_order_relaxed);
   r.failovers = failovers_.load(std::memory_order_relaxed);
   r.affinityHits = affinityHits_.load(std::memory_order_relaxed);

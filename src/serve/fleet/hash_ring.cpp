@@ -38,7 +38,9 @@ std::uint64_t HashRing::hashKey(const ProblemKey& key) {
   h = mix64(h ^ key.seed);
   h = mix64(h ^ static_cast<std::uint64_t>(key.pr));
   h = mix64(h ^ static_cast<std::uint64_t>(key.pc));
-  h = mix64(h ^ static_cast<std::uint64_t>(key.scheduler));
+  // The retired scheduler field (always 0) once sat in this round; the
+  // bare mix keeps every key's placement where it was.
+  h = mix64(h);
   h = mix64(h ^ static_cast<std::uint64_t>(key.precision));
   return h;
 }

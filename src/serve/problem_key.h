@@ -3,18 +3,17 @@
 // Two requests are "compatible" — may share a cached factorization and be
 // coalesced into one blocked multi-RHS refinement — exactly when their
 // ProblemKeys are equal: same order, block size, and matrix seed (the
-// factors are a pure function of those three on one device), and same
-// grid shape and scheduler (which select the execution substrate the
-// factors were produced on; the single-device serve backend requires a
-// 1x1 grid today, but distributed keys already name their placement so
-// the cache key never has to change shape).
+// factors are a pure function of those three on one device), same grid
+// shape (which selects the execution substrate the factors were produced
+// on; the single-device serve backend requires a 1x1 grid today, but
+// distributed keys already name their placement so the cache key never has
+// to change shape), and same storage precision.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <tuple>
 
-#include "core/config.h"
 #include "lowp/precision.h"
 #include "util/common.h"
 
@@ -26,7 +25,6 @@ struct ProblemKey {
   std::uint64_t seed = 0;
   index_t pr = 1;
   index_t pc = 1;
-  HplaiConfig::Scheduler scheduler = HplaiConfig::Scheduler::kBulk;
   /// Storage rung the factors were produced at. Factors at different
   /// rungs round differently, so a cached fp16 factorization must never
   /// satisfy an fp8 request (and vice versa) — the rung is part of the
@@ -34,7 +32,7 @@ struct ProblemKey {
   lowp::StoragePrecision precision = lowp::StoragePrecision::kFp16;
 
   [[nodiscard]] auto tied() const {
-    return std::tie(n, b, seed, pr, pc, scheduler, precision);
+    return std::tie(n, b, seed, pr, pc, precision);
   }
 
   friend bool operator==(const ProblemKey& a, const ProblemKey& b) {
@@ -47,9 +45,7 @@ struct ProblemKey {
   [[nodiscard]] std::string toString() const {
     return "n=" + std::to_string(n) + " b=" + std::to_string(b) +
            " seed=" + std::to_string(seed) + " grid=" + std::to_string(pr) +
-           "x" + std::to_string(pc) + " sched=" +
-           hplmxp::toString(scheduler) + " prec=" +
-           lowp::toString(precision);
+           "x" + std::to_string(pc) + " prec=" + lowp::toString(precision);
   }
 };
 

@@ -71,7 +71,7 @@ struct RecoveryConfig {
 /// cadence >= the panel count degenerates to "checkpoint never" (only the
 /// free step-0 base would ever be taken); that is clamped to the largest
 /// cadence that still yields a mid-run generation, with a once-per-process
-/// warning — mirroring effectiveScheduler()'s logged fallback.
+/// warning.
 [[nodiscard]] index_t effectiveCheckpointCadence(index_t requested,
                                                  index_t panelSteps);
 

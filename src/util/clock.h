@@ -1,7 +1,6 @@
 // Monotonic clock-source abstraction.
 //
-// Everything that stamps time — Timer, the task-graph timeline the
-// sched_timeline idle accounting folds, the simmpi Request poll backoff —
+// Everything that stamps time — Timer, the simmpi Request poll backoff —
 // reads seconds through a ClockSource instead of calling
 // std::chrono::steady_clock::now() directly. That indirection is what lets
 // the fleet co-simulator (src/fleetsim) re-run the same machinery on a

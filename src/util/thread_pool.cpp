@@ -45,31 +45,23 @@ bool ThreadPool::runOneTask(std::unique_lock<std::mutex>& lock) {
   if (queueEmpty()) {
     return false;
   }
-  Task task = queuePop();
+  const std::uint64_t id = queuePop();
   lock.unlock();
-  task.fn();
+  runJob(id);
   lock.lock();
   return true;
 }
 
-void ThreadPool::queuePush(Task t) {
-  if (ringCount_ == ring_.size()) {
-    std::vector<Task> grown(std::max<std::size_t>(16, ring_.size() * 2));
-    for (std::size_t i = 0; i < ringCount_; ++i) {
-      grown[i] = std::move(ring_[(ringHead_ + i) % ring_.size()]);
-    }
-    ring_ = std::move(grown);
-    ringHead_ = 0;
-  }
-  ring_[(ringHead_ + ringCount_) % ring_.size()] = std::move(t);
+void ThreadPool::queuePush(std::uint64_t id) {
+  ring_[(ringHead_ + ringCount_) % ring_.size()] = id;
   ++ringCount_;
 }
 
-ThreadPool::Task ThreadPool::queuePop() {
-  Task t = std::move(ring_[ringHead_]);
+std::uint64_t ThreadPool::queuePop() {
+  const std::uint64_t id = ring_[ringHead_];
   ringHead_ = (ringHead_ + 1) % ring_.size();
   --ringCount_;
-  return t;
+  return id;
 }
 
 std::uint64_t ThreadPool::postHelpers(void (*run)(void*), void* arg,
@@ -96,12 +88,10 @@ std::uint64_t ThreadPool::postHelpers(void (*run)(void*), void* arg,
     // The queue mutex publishes run/arg to whichever worker pops a helper.
     std::lock_guard<std::mutex> lock(mutex_);
     for (index_t i = 0; i < count && !queueFull(); ++i) {
-      // [this, id] is 16 trivially-copyable bytes: it fits std::function's
-      // small-buffer storage, so posting helpers does not allocate. A full
-      // ring means every worker already has a backlog of hints to drain;
-      // posting fewer (or zero) helpers only costs parallelism, never
-      // correctness — the caller runs every chunk itself if need be.
-      queuePush(Task{[this, id] { runJob(id); }});
+      // A full ring means every worker already has a backlog of hints to
+      // drain; posting fewer (or zero) helpers only costs parallelism,
+      // never correctness — the caller runs every chunk itself if need be.
+      queuePush(id);
     }
   }
   cv_.notify_all();
@@ -141,14 +131,6 @@ void ThreadPool::parallelFor(index_t begin, index_t end,
         }
       },
       chunks);
-}
-
-void ThreadPool::enqueue(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queuePush(Task{std::move(fn)});
-  }
-  cv_.notify_one();
 }
 
 ThreadPool::ScratchLease::~ScratchLease() {

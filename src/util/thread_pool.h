@@ -167,12 +167,6 @@ class ThreadPool {
                    const std::function<void(index_t)>& fn,
                    index_t chunks = 0);
 
-  /// Pushes one fire-and-forget closure onto the shared queue (the same
-  /// mechanism parallelFor uses for its helpers). The closure must not
-  /// throw; it owns its own completion signalling. TaskGraph::execute uses
-  /// this to borrow workers as scheduler lanes.
-  void enqueue(std::function<void()> fn);
-
   /// RAII lease of one persistent scratch arena. Returning the lease puts
   /// the arena (capacity intact) back on the pool's free list, so repeated
   /// kernel invocations reuse warmed-up buffers allocation-free.
@@ -209,16 +203,12 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  struct Task {
-    std::function<void()> fn;
-  };
-
   /// One in-flight chunked job. Helpers are enqueued carrying only
   /// (slot, epoch); a stale helper that pops after the job retired sees a
   /// bumped epoch and returns without touching the caller's stack state.
   /// This also means a parallel-for never has to wait for queued-but-
-  /// unstarted helpers (they may sit behind long-running scheduler lanes),
-  /// so stack-allocated job state cannot deadlock the pool.
+  /// unstarted helpers (they may sit behind other callers' helpers), so
+  /// stack-allocated job state cannot deadlock the pool.
   struct JobSlot {
     std::atomic<bool> inUse{false};
     std::atomic<std::uint64_t> epoch{1};
@@ -232,7 +222,7 @@ class ThreadPool {
   void workerLoop();
   bool runOneTask(std::unique_lock<std::mutex>& lock);
 
-  /// Claims a job slot and enqueues `count` helper tasks for it. Returns
+  /// Claims a job slot and queues `count` helper hints for it. Returns
   /// the packed (slot, epoch) id, or kNoJob when every slot is busy (the
   /// caller then just runs all chunks itself).
   std::uint64_t postHelpers(void (*run)(void*), void* arg, index_t count);
@@ -246,24 +236,21 @@ class ThreadPool {
 
   void returnScratch(Arena* arena);
 
-  // Pending-task ring (guarded by mutex_), pre-sized at construction.
-  // Helper posting is best-effort and never grows it: a helper task is a
-  // hint that directs a worker at a (slot, epoch), and once every worker
-  // has been pointed at pending work, extra hints are redundant (workers
-  // drain the ring in a loop; stale hints no-op). Only enqueue() — the
-  // fire-and-forget API, where dropping would lose work — may grow the
-  // ring, and it does so geometrically. std::queue's deque would instead
-  // allocate and free a node block every few dozen operations as its
-  // cursor walks forward; keeping the steady state allocation-free is
-  // what lets the zero-alloc GEMM regression test assert a strict zero.
+  // Pending-helper ring of job ids (guarded by mutex_), sized once at
+  // construction and never grown. A helper is a hint that directs a worker
+  // at a (slot, epoch); once every worker has been pointed at pending work,
+  // extra hints are redundant (workers drain the ring in a loop; stale
+  // hints no-op), so postHelpers drops hints when the ring is full. A fixed
+  // ring keeps the steady state allocation-free, which is what lets the
+  // zero-alloc GEMM regression test assert a strict zero.
   static constexpr std::size_t kTaskRingCapacity = 256;
   [[nodiscard]] bool queueEmpty() const { return ringCount_ == 0; }
   [[nodiscard]] bool queueFull() const { return ringCount_ == ring_.size(); }
-  void queuePush(Task t);
-  Task queuePop();
+  void queuePush(std::uint64_t id);
+  std::uint64_t queuePop();
 
   std::vector<std::thread> workers_;
-  std::vector<Task> ring_;
+  std::vector<std::uint64_t> ring_;
   std::size_t ringHead_ = 0;
   std::size_t ringCount_ = 0;
   std::mutex mutex_;

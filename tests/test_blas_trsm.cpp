@@ -2,6 +2,7 @@
 // (op(A) * X == alpha * B), over all side/uplo/diag combinations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -36,13 +37,21 @@ std::vector<float> triangularMatrix(index_t n, Uplo uplo, Diag diag,
   return a;
 }
 
+// gtest names each instantiated case by dumping this struct's bytes, so the
+// alignment gaps are spelled out as zeroed members: otherwise they hold
+// whatever the stack held and the test names change from build to build.
 struct TrsmCase {
+  TrsmCase(Side s, Uplo u, Diag d, index_t rows, index_t cols, float a)
+      : side(s), uplo(u), diag(d), m(rows), n(cols), alpha(a) {}
   Side side;
   Uplo uplo;
   Diag diag;
+  std::int32_t gap0 = 0;
   index_t m, n;
   float alpha;
+  std::int32_t gap1 = 0;
 };
+static_assert(sizeof(TrsmCase) == 40, "TrsmCase must have no hidden padding");
 
 class TrsmTest : public ::testing::TestWithParam<TrsmCase> {};
 

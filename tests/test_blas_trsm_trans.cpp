@@ -3,6 +3,7 @@
 // every side/uplo/diag combination.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -60,13 +61,21 @@ std::vector<double> explicitOp(const std::vector<double>& a, index_t n,
   return full;
 }
 
+// gtest names each instantiated case by dumping this struct's bytes, so the
+// alignment gap is spelled out as a zeroed member: otherwise it holds
+// whatever the stack held and the test names change from build to build.
 struct TransCase {
+  TransCase(Side s, Uplo u, Diag d, index_t rows, index_t cols, double a)
+      : side(s), uplo(u), diag(d), m(rows), n(cols), alpha(a) {}
   Side side;
   Uplo uplo;
   Diag diag;
+  std::int32_t gap0 = 0;
   index_t m, n;
   double alpha;
 };
+static_assert(sizeof(TransCase) == 40,
+              "TransCase must have no hidden padding");
 
 class TrsmTransTest : public ::testing::TestWithParam<TransCase> {};
 

@@ -144,20 +144,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweepTest,
                          ::testing::Values(0, 1, 2, 7, 42, 1234, 99999,
                                            0xDEADBEEF, 0xFFFFFFFFFFFFFFFFULL));
 
-TEST(EffectiveScheduler, DataflowFallsBackToBulkWithoutLanesToOverlap) {
-  using Scheduler = HplaiConfig::Scheduler;
-  // Dataflow needs at least two pool lanes to overlap anything; with one
-  // lane the requested scheduler is overridden to bulk.
-  EXPECT_EQ(effectiveScheduler(Scheduler::kDataflow, 1), Scheduler::kBulk);
-  EXPECT_EQ(effectiveScheduler(Scheduler::kDataflow, 2),
-            Scheduler::kDataflow);
-  EXPECT_EQ(effectiveScheduler(Scheduler::kDataflow, 8),
-            Scheduler::kDataflow);
-  // Bulk is never overridden, whatever the lane count.
-  EXPECT_EQ(effectiveScheduler(Scheduler::kBulk, 1), Scheduler::kBulk);
-  EXPECT_EQ(effectiveScheduler(Scheduler::kBulk, 8), Scheduler::kBulk);
-}
-
 TEST(RecoveryConfigValidation, RejectsDegenerateKnobs) {
   simmpi::RecoveryConfig rc;
   EXPECT_NO_THROW(rc.validate());  // defaults are sane

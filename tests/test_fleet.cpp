@@ -6,6 +6,7 @@
 // other's faults, recovery, or replay-log state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -124,6 +125,52 @@ TEST(HashRingTest, SuccessorsAreDistinctAndStartAtThePrimary) {
   EXPECT_EQ(one[0], 2);
 }
 
+TEST(HashRingTest, PlacementIsPinnedForFixedKeys) {
+  // Golden placement: a change to hashKey's mixing (or to the ring's
+  // point layout) silently re-homes every cached factorization, so these
+  // values are frozen. The first rows are the serve benchmark's keyspace
+  // (n=128, b=32, seeds from 0x5eed0000 on a 2-shard ring) and the
+  // co-simulator's (n=64, b=16 on 24 shards); the last one exercises the
+  // grid and precision rounds.
+  struct Pin {
+    index_t n, b;
+    std::uint64_t seed;
+    index_t pr, pc;
+    lowp::StoragePrecision precision;
+    std::uint64_t hash;
+    index_t onTwo, onThree, onTwentyFour;
+  };
+  const Pin pins[] = {
+      {128, 32, 0x5eed0000ull, 1, 1, lowp::StoragePrecision::kFp16,
+       0xcc91a38637cca1b3ull, 1, 1, 11},
+      {128, 32, 0x5eed0001ull, 1, 1, lowp::StoragePrecision::kFp16,
+       0x1ed7d49433a87813ull, 0, 0, 6},
+      {128, 32, 0x5eed0007ull, 1, 1, lowp::StoragePrecision::kFp16,
+       0xfee63718c1ba076eull, 0, 0, 6},
+      {128, 32, 0x5eed00ffull, 1, 1, lowp::StoragePrecision::kFp16,
+       0x38dc2c23a66564dcull, 0, 0, 23},
+      {64, 16, 0x5eed0000ull, 1, 1, lowp::StoragePrecision::kFp16,
+       0xfbc35f2fa2f7e7acull, 0, 0, 10},
+      {64, 16, 0x5eed0003ull, 1, 1, lowp::StoragePrecision::kFp16,
+       0x8fc42dc91e25a6a8ull, 0, 0, 0},
+      {64, 16, 42, 2, 2, lowp::StoragePrecision::kFp8E4M3,
+       0x2cafa34380c2244dull, 0, 0, 16},
+  };
+  const HashRing two(2, 64);
+  const HashRing three(3, 64);
+  const HashRing twentyFour(24, 64);
+  for (const Pin& p : pins) {
+    ProblemKey k = key(p.n, p.b, p.seed);
+    k.pr = p.pr;
+    k.pc = p.pc;
+    k.precision = p.precision;
+    EXPECT_EQ(HashRing::hashKey(k), p.hash) << k.toString();
+    EXPECT_EQ(two.route(k, nullptr), p.onTwo) << k.toString();
+    EXPECT_EQ(three.route(k, nullptr), p.onThree) << k.toString();
+    EXPECT_EQ(twentyFour.route(k, nullptr), p.onTwentyFour) << k.toString();
+  }
+}
+
 // ----------------------------------------------------- FleetCacheIndex --
 
 TEST(FleetCacheIndexTest, PlacementsDedupAndEvictionsWithdraw) {
@@ -238,6 +285,65 @@ TEST(FleetEngineTest, ShardedReplayIsBitwiseIdenticalToSingleShard) {
     expectBitwise(one[i].solution,
                   soloSolution(reqs[i].key, reqs[i].rhsSeed), "solo");
   }
+}
+
+TEST(FleetEngineTest, ReportRollsBatchStatisticsUpFromTheShards) {
+  // Batches form inside the shard engines, so the fleet-level figures
+  // must be the shards' rollup, not the (batch-blind) fleet recorder's.
+  FleetConfig cfg = fleetConfig(2);
+  cfg.shard.maxBatch = 4;
+  cfg.shard.maxBatchDelaySeconds = 0.05;  // wide window: force coalescing
+  // One key homed on each shard, so both contribute to the rollup.
+  const HashRing ring(cfg.shards, cfg.virtualNodes);
+  std::vector<ProblemKey> keys(2);
+  std::vector<bool> found(2, false);
+  for (std::uint64_t seed = 1; !(found[0] && found[1]); ++seed) {
+    const ProblemKey k = key(32, 16, seed);
+    const auto s = static_cast<std::size_t>(ring.route(k, nullptr));
+    if (!found[s]) {
+      keys[s] = k;
+      found[s] = true;
+    }
+  }
+  std::vector<SolveRequest> reqs;
+  std::uint64_t rhs = 700;
+  for (const ProblemKey& k : keys) {
+    for (int i = 0; i < 8; ++i) {
+      reqs.push_back(request(k, ++rhs));
+    }
+  }
+
+  FleetEngine fleet(cfg);
+  std::vector<FleetEngine::HandlePtr> handles;
+  for (const SolveRequest& r : reqs) {
+    handles.push_back(fleet.submit(r));
+  }
+  for (const auto& h : handles) {
+    ASSERT_EQ(h->wait().status, RequestStatus::kCompleted);
+  }
+  fleet.drain();
+  const FleetReport report = fleet.report();
+
+  std::uint64_t solves = 0;
+  double columns = 0.0;
+  index_t maxBatch = 0;
+  ASSERT_EQ(report.perShard.size(), 2u);
+  for (const ShardReport& s : report.perShard) {
+    EXPECT_GT(s.report.batchedSolves, 0u) << "shard " << s.id;
+    solves += s.report.batchedSolves;
+    columns += s.report.meanBatchSize *
+               static_cast<double>(s.report.batchedSolves);
+    maxBatch = std::max(maxBatch, s.report.maxBatchSize);
+  }
+  EXPECT_EQ(report.fleet.batchedSolves, solves);
+  EXPECT_DOUBLE_EQ(report.fleet.meanBatchSize,
+                   columns / static_cast<double>(solves));
+  EXPECT_EQ(report.fleet.maxBatchSize, maxBatch);
+  // Every request was answered by exactly one batch column.
+  EXPECT_DOUBLE_EQ(columns, static_cast<double>(reqs.size()));
+  EXPECT_GT(report.fleet.batchedSolves, 0u);
+  EXPECT_GT(report.fleet.meanBatchSize, 1.0);
+  EXPECT_GT(report.fleet.maxBatchSize, 1);
 }
 
 TEST(FleetEngineTest, RepeatedKeysStickToTheirPlacementShard) {

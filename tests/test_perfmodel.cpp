@@ -116,23 +116,6 @@ TEST(RuntimeModel, ParallelBoundTermsScaleWithGrid) {
   EXPECT_LE(b16.totalWithLookahead(), b16.total());
 }
 
-TEST(RuntimeModel, DataflowBoundTightensTheHierarchy) {
-  // The dataflow step-time variant folds TRSM + both broadcasts into the
-  // GEMM overlap, so at every size: dataflow <= lookahead <= plain sum,
-  // with GETRF always remaining on the critical path.
-  const KernelModel m(MachineKind::kFrontier);
-  for (const index_t p : {4, 8, 16}) {
-    ModelInput in{.n = 119808 * p, .b = 3072, .pr = p, .pc = p,
-                  .nbb = 10e9};
-    const ParallelBound b = projectedParallelBound(m, in);
-    EXPECT_LE(b.totalWithDataflow(), b.totalWithLookahead());
-    EXPECT_LE(b.totalWithLookahead(), b.total());
-    EXPECT_GE(b.totalWithDataflow(), b.getrf + b.gemm);
-    // Dataflow can only hide comm/panel work, never the GEMM itself.
-    EXPECT_GT(b.totalWithDataflow(), 0.0);
-  }
-}
-
 TEST(RuntimeModel, Eq5PrefersBalancedGrids) {
   ModelInput in{.n = 958464, .b = 3072, .pr = 8, .pc = 8, .nbb = 10e9};
   const ProcessGrid balanced = ProcessGrid::nodeLocal(8, 8, 2, 4);

@@ -1,16 +1,19 @@
-// Equivalence of the dataflow tile scheduler against the bulk reference
-// schedule. The mathematical argument: every trailing-matrix element's
-// update at step k is one fixed-order dot product over the inner dimension
-// B, TRSM left-solves treat RHS columns independently and right-solves
-// treat rows independently, and CAST is element-wise — so tiling those
-// kernels and reordering tile execution cannot change a single bit of the
-// factors. These tests enforce that claim across grids, shapes, broadcast
-// strategies, randomized property-based configs, fault injection, and the
-// degenerate geometries where a scheduler would deadlock if its dependency
-// graph were wrong.
+// Schedule equivalence of the distributed LU: every (broadcast strategy,
+// look-ahead) configuration must produce the same bits as the plain
+// reference schedule (root-linear Bcast, no look-ahead). The mathematical
+// argument: every trailing-matrix element's update at step k is one
+// fixed-order dot product over the inner dimension B whether it lands in
+// a look-ahead strip or in the bulk, TRSM and CAST run on the same panel
+// bytes, and a broadcast strategy only changes how those bytes travel —
+// so no variant may change a single bit of the factors. These tests
+// enforce that claim on every rank's factored local matrix across grids,
+// shapes, randomized property-based configs, fault injection, and the
+// degenerate geometries where a pipelined schedule would hang if its
+// step bookkeeping were wrong.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -68,27 +71,57 @@ std::vector<std::vector<float>> factorAllRanks(
   return locals;
 }
 
-void expectBitwiseEqual(const std::vector<std::vector<float>>& bulk,
-                        const std::vector<std::vector<float>>& dataflow,
+/// The reference schedule for `cfg`: same problem, root-linear Bcast,
+/// no look-ahead.
+HplaiConfig referenceOf(HplaiConfig cfg) {
+  cfg.panelBcast = simmpi::BcastStrategy::kBcast;
+  cfg.lookahead = false;
+  return cfg;
+}
+
+/// Whole-value float comparison would call -0.0f == 0.0f equal; the
+/// promise is identical bits, so compare the representation.
+bool sameBits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+void expectBitwiseEqual(const std::vector<std::vector<float>>& reference,
+                        const std::vector<std::vector<float>>& variant,
                         const std::string& label) {
-  ASSERT_EQ(bulk.size(), dataflow.size()) << label;
-  for (std::size_t r = 0; r < bulk.size(); ++r) {
-    ASSERT_EQ(bulk[r].size(), dataflow[r].size())
+  ASSERT_EQ(reference.size(), variant.size()) << label;
+  for (std::size_t r = 0; r < reference.size(); ++r) {
+    ASSERT_EQ(reference[r].size(), variant[r].size())
         << label << " rank " << r;
-    for (std::size_t i = 0; i < bulk[r].size(); ++i) {
-      ASSERT_EQ(bulk[r][i], dataflow[r][i])
-          << label << " rank " << r << " element " << i
+    for (std::size_t i = 0; i < reference[r].size(); ++i) {
+      ASSERT_TRUE(sameBits(reference[r][i], variant[r][i]))
+          << label << " rank " << r << " element " << i << ": "
+          << reference[r][i] << " vs " << variant[r][i]
           << " (bitwise mismatch)";
     }
   }
 }
 
-void expectSchedulersMatch(HplaiConfig cfg, const std::string& label) {
-  cfg.scheduler = HplaiConfig::Scheduler::kBulk;
-  const auto bulk = factorAllRanks(cfg);
-  cfg.scheduler = HplaiConfig::Scheduler::kDataflow;
-  const auto dataflow = factorAllRanks(cfg);
-  expectBitwiseEqual(bulk, dataflow, label);
+/// The most pipelined variant of `cfg`: Ring2M panels with look-ahead.
+HplaiConfig pipelined(HplaiConfig cfg) {
+  cfg.panelBcast = simmpi::BcastStrategy::kRing2M;
+  cfg.lookahead = true;
+  return cfg;
+}
+
+std::string describe(const HplaiConfig& cfg) {
+  return "n=" + std::to_string(cfg.n) + " b=" + std::to_string(cfg.b) +
+         " grid=" + std::to_string(cfg.pr) + "x" + std::to_string(cfg.pc) +
+         " bcast=" + simmpi::toString(cfg.panelBcast) +
+         " lookahead=" + (cfg.lookahead ? "on" : "off");
+}
+
+/// Factors `cfg` and its reference schedule and demands identical bits on
+/// every rank.
+void expectMatchesReference(const HplaiConfig& cfg,
+                            const std::string& label) {
+  const auto reference = factorAllRanks(referenceOf(cfg));
+  const auto variant = factorAllRanks(cfg);
+  expectBitwiseEqual(reference, variant, label + " " + describe(cfg));
 }
 
 TEST(SchedEquiv, BitwiseAcrossGridsShapesAndBcasts) {
@@ -98,6 +131,7 @@ TEST(SchedEquiv, BitwiseAcrossGridsShapesAndBcasts) {
     bool lookahead;
   };
   const Case cases[] = {
+      // The reference against itself: two runs must agree bit for bit.
       {96, 16, 1, 1, simmpi::BcastStrategy::kBcast, false},
       {96, 16, 2, 2, simmpi::BcastStrategy::kBcast, true},
       {128, 16, 2, 2, simmpi::BcastStrategy::kRing2M, true},
@@ -110,10 +144,7 @@ TEST(SchedEquiv, BitwiseAcrossGridsShapesAndBcasts) {
     HplaiConfig cfg = baseConfig(c.n, c.b, c.pr, c.pc);
     cfg.panelBcast = c.strategy;
     cfg.lookahead = c.lookahead;
-    expectSchedulersMatch(
-        cfg, "n=" + std::to_string(c.n) + " b=" + std::to_string(c.b) +
-                 " grid=" + std::to_string(c.pr) + "x" +
-                 std::to_string(c.pc));
+    expectMatchesReference(cfg, "grid-table");
   }
 }
 
@@ -149,11 +180,8 @@ TEST(SchedEquiv, PropertyRandomizedConfigs) {
     cfg.seed = seedPick(rng);
     cfg.panelBcast = strategies[bcastPick(rng)];
     cfg.lookahead = (trial % 2) == 0;
-    expectSchedulersMatch(
-        cfg, "trial=" + std::to_string(trial) + " n=" + std::to_string(n) +
-                 " b=" + std::to_string(b) + " grid=" + std::to_string(pr) +
-                 "x" + std::to_string(pc) + " seed=" +
-                 std::to_string(cfg.seed));
+    expectMatchesReference(cfg, "trial=" + std::to_string(trial) +
+                                    " seed=" + std::to_string(cfg.seed));
     ++executed;
   }
   // The cap above must not hollow the sweep out.
@@ -166,8 +194,7 @@ TEST(SchedEquiv, IrResidualTrajectoriesIdentical) {
   // directly: refine under increasing iteration budgets and compare the
   // residual after every budget — that is the trajectory point j — plus
   // the full FP64 solution vector bitwise at the end.
-  HplaiConfig cfg = baseConfig(128, 16, 2, 2);
-  cfg.panelBcast = simmpi::BcastStrategy::kRing2M;
+  const HplaiConfig cfg = pipelined(baseConfig(128, 16, 2, 2));
   const int budgets = 5;
 
   struct Trajectory {
@@ -175,9 +202,7 @@ TEST(SchedEquiv, IrResidualTrajectoriesIdentical) {
     std::vector<index_t> iterations;
     std::vector<double> solution;
   };
-  auto runOne = [&](HplaiConfig::Scheduler sched) {
-    HplaiConfig c = cfg;
-    c.scheduler = sched;
+  auto runOne = [&](const HplaiConfig& c) {
     Trajectory t;
     simmpi::run(c.worldSize(), [&](simmpi::Comm& world) {
       DistContext ctx(world, c);
@@ -218,53 +243,46 @@ TEST(SchedEquiv, IrResidualTrajectoriesIdentical) {
     return t;
   };
 
-  const Trajectory bulk = runOne(HplaiConfig::Scheduler::kBulk);
-  const Trajectory dataflow = runOne(HplaiConfig::Scheduler::kDataflow);
-  ASSERT_EQ(bulk.residuals.size(), static_cast<std::size_t>(budgets));
-  ASSERT_EQ(dataflow.residuals.size(), static_cast<std::size_t>(budgets));
+  const Trajectory reference = runOne(referenceOf(cfg));
+  const Trajectory variant = runOne(cfg);
+  ASSERT_EQ(reference.residuals.size(), static_cast<std::size_t>(budgets));
+  ASSERT_EQ(variant.residuals.size(), static_cast<std::size_t>(budgets));
   for (int j = 0; j < budgets; ++j) {
-    // Bitwise: both schedulers walked the same residual trajectory.
-    EXPECT_EQ(bulk.residuals[static_cast<std::size_t>(j)],
-              dataflow.residuals[static_cast<std::size_t>(j)])
+    // Bitwise: both schedules walked the same residual trajectory.
+    EXPECT_EQ(reference.residuals[static_cast<std::size_t>(j)],
+              variant.residuals[static_cast<std::size_t>(j)])
         << "residual after IR budget " << (j + 1);
-    EXPECT_EQ(bulk.iterations[static_cast<std::size_t>(j)],
-              dataflow.iterations[static_cast<std::size_t>(j)]);
+    EXPECT_EQ(reference.iterations[static_cast<std::size_t>(j)],
+              variant.iterations[static_cast<std::size_t>(j)]);
   }
-  ASSERT_EQ(bulk.solution.size(), dataflow.solution.size());
-  for (std::size_t i = 0; i < bulk.solution.size(); ++i) {
-    ASSERT_EQ(bulk.solution[i], dataflow.solution[i])
+  ASSERT_EQ(reference.solution.size(), variant.solution.size());
+  for (std::size_t i = 0; i < reference.solution.size(); ++i) {
+    ASSERT_EQ(reference.solution[i], variant.solution[i])
         << "solution element " << i;
   }
 }
 
 TEST(SchedEquiv, EndToEndResultsMatch) {
-  for (const auto sched : {HplaiConfig::Scheduler::kBulk,
-                           HplaiConfig::Scheduler::kDataflow}) {
-    HplaiConfig cfg = baseConfig(128, 16, 2, 2);
-    cfg.scheduler = sched;
-    const HplaiResult r = runHplai(cfg);
-    EXPECT_TRUE(r.converged) << toString(sched);
-    EXPECT_LT(r.scaledResidual(), 1.0) << toString(sched);
+  const HplaiConfig cfg = pipelined(baseConfig(128, 16, 2, 2));
+  const HplaiResult reference = runHplai(referenceOf(cfg));
+  const HplaiResult variant = runHplai(cfg);
+  for (const HplaiResult* r : {&reference, &variant}) {
+    EXPECT_TRUE(r->converged);
+    EXPECT_LT(r->scaledResidual(), 1.0);
   }
-  // And the numeric outputs agree bitwise between the two engines.
-  HplaiConfig cfg = baseConfig(128, 16, 2, 2);
-  cfg.scheduler = HplaiConfig::Scheduler::kBulk;
-  const HplaiResult bulk = runHplai(cfg);
-  cfg.scheduler = HplaiConfig::Scheduler::kDataflow;
-  const HplaiResult dataflow = runHplai(cfg);
-  EXPECT_EQ(bulk.irIterations, dataflow.irIterations);
-  EXPECT_EQ(bulk.residualInf, dataflow.residualInf);
-  EXPECT_EQ(bulk.converged, dataflow.converged);
+  // And the numeric outputs agree bitwise between the two schedules.
+  EXPECT_EQ(reference.irIterations, variant.irIterations);
+  EXPECT_EQ(reference.residualInf, variant.residualInf);
+  EXPECT_EQ(reference.converged, variant.converged);
 }
 
 TEST(SchedEquiv, EquivalentUnderDelayFaultInjection) {
   // Timing faults (random injected delays, a stalling rank) perturb the
-  // schedule without corrupting data: the dataflow factors must stay
-  // bitwise identical to a clean bulk run. This is the PR-1 chaos harness
-  // aimed at the scheduler.
-  HplaiConfig cfg = baseConfig(96, 16, 2, 2);
-  cfg.scheduler = HplaiConfig::Scheduler::kBulk;
-  const auto clean = factorAllRanks(cfg);
+  // schedule without corrupting data: the pipelined Ring2M + look-ahead
+  // factors must stay bitwise identical to a clean reference run. This is
+  // the chaos harness aimed at the schedule.
+  const HplaiConfig cfg = pipelined(baseConfig(96, 16, 2, 2));
+  const auto clean = factorAllRanks(referenceOf(cfg));
 
   for (const char* scenario : {"delay", "stall"}) {
     simmpi::RunOptions opts;
@@ -272,9 +290,7 @@ TEST(SchedEquiv, EquivalentUnderDelayFaultInjection) {
         simmpi::faultScenario(scenario, 7, cfg.worldSize()),
         cfg.worldSize());
     opts.timeout = std::chrono::milliseconds(20000);
-    HplaiConfig df = cfg;
-    df.scheduler = HplaiConfig::Scheduler::kDataflow;
-    const auto faulted = factorAllRanks(df, opts);
+    const auto faulted = factorAllRanks(cfg, opts);
     expectBitwiseEqual(clean, faulted, std::string("scenario=") + scenario);
   }
 }
@@ -282,42 +298,42 @@ TEST(SchedEquiv, EquivalentUnderDelayFaultInjection) {
 // ---- Deadlock/starvation regressions: degenerate geometries ------------
 
 TEST(SchedDeadlock, SingleTileMatrixTerminates) {
-  // N == B: the whole matrix is one tile; the graph is a single GETRF
-  // task (no panels, no trailing update, no broadcasts).
-  HplaiConfig cfg = baseConfig(32, 32, 1, 1);
-  expectSchedulersMatch(cfg, "single-tile");
+  // N == B: the whole matrix is one tile; the factorization is a single
+  // GETRF (no panels, no trailing update, no broadcasts) and the
+  // look-ahead pipeline never has a next step to start.
+  const HplaiConfig cfg = pipelined(baseConfig(32, 32, 1, 1));
+  expectMatchesReference(cfg, "single-tile");
 }
 
 TEST(SchedDeadlock, OneByOneGridTerminates) {
-  // All collectives are single-member no-ops; every dependency must be
-  // locally satisfiable.
-  HplaiConfig cfg = baseConfig(128, 16, 1, 1);
-  expectSchedulersMatch(cfg, "1x1-grid");
+  // All collectives are single-member no-ops; the look-ahead split must
+  // still cover every trailing block exactly once.
+  const HplaiConfig cfg = pipelined(baseConfig(128, 16, 1, 1));
+  expectMatchesReference(cfg, "1x1-grid");
 }
 
 TEST(SchedDeadlock, MinimalLocalExtentTerminates) {
   // Each rank owns exactly one block (N_L == B): the trailing region on
   // every rank empties after its first step, so most steps have zero
-  // local tiles — the classic shape for a scheduler that assumes "every
+  // local tiles — the classic shape for a pipeline that assumes "every
   // step has work on every rank" to hang on.
-  HplaiConfig cfg = baseConfig(64, 32, 2, 2);
-  expectSchedulersMatch(cfg, "one-block-per-rank");
+  const HplaiConfig cfg = pipelined(baseConfig(64, 32, 2, 2));
+  expectMatchesReference(cfg, "one-block-per-rank");
 }
 
 TEST(SchedDeadlock, UnevenBlockDistributionTerminates) {
   // n/b = 3 on a 2x2 grid: ranks own 1 or 2 blocks per dimension, so
   // local extents differ across the grid and some ranks run out of
   // trailing tiles steps before others.
-  HplaiConfig cfg = baseConfig(48, 16, 2, 2);
-  expectSchedulersMatch(cfg, "uneven-blocks");
+  const HplaiConfig cfg = pipelined(baseConfig(48, 16, 2, 2));
+  expectMatchesReference(cfg, "uneven-blocks");
 }
 
 TEST(SchedDeadlock, StalledRankTerminatesOrFailsStructured) {
   // A chaos `stall` fault parks one rank inside comm ops. With a comm
   // timeout armed the run must either complete with correct factors or
   // fail with a structured error — never hang ctest.
-  HplaiConfig cfg = baseConfig(96, 16, 2, 2);
-  cfg.scheduler = HplaiConfig::Scheduler::kDataflow;
+  const HplaiConfig cfg = pipelined(baseConfig(96, 16, 2, 2));
 
   simmpi::FaultConfig faults = simmpi::faultScenario("stall", 3, 4);
   simmpi::RunOptions opts;
@@ -333,66 +349,24 @@ TEST(SchedDeadlock, StalledRankTerminatesOrFailsStructured) {
   }
   if (!structuredError) {
     // Completed despite the stall: results must be correct.
-    cfg.scheduler = HplaiConfig::Scheduler::kBulk;
-    const auto clean = factorAllRanks(cfg);
+    const auto clean = factorAllRanks(referenceOf(cfg));
     expectBitwiseEqual(clean, locals, "stall-completed");
   }
   SUCCEED();  // reaching here at all proves termination
 }
 
-TEST(SchedEquiv, DataflowTraceAndTimelineArePopulated) {
-  HplaiConfig cfg = baseConfig(96, 16, 2, 2);
-  cfg.scheduler = HplaiConfig::Scheduler::kDataflow;
-  cfg.collectTrace = true;
-  std::vector<IterationTrace> trace;
-  TaskGraph::ExecStats stats;
-  simmpi::run(cfg.worldSize(), [&](simmpi::Comm& world) {
-    DistContext ctx(world, cfg);
-    const ProblemGenerator gen(cfg.seed, cfg.n);
-    const index_t b = cfg.b;
-    const index_t lda = ctx.localRows();
-    Buffer<float> local(ctx.localRows() * ctx.localCols());
-    const BlockCyclic& layout = ctx.layout();
-    for (index_t lj = 0; lj < ctx.localCols() / b; ++lj) {
-      for (index_t li = 0; li < ctx.localRows() / b; ++li) {
-        gen.fillTile<float>(layout.globalBlockRow(ctx.myRow(), li) * b,
-                            layout.globalBlockCol(ctx.myCol(), lj) * b, b, b,
-                            local.data() + li * b + lj * b * lda, lda);
-      }
-    }
-    BlasShim shim(cfg.vendor);
-    DistLU lu(ctx, cfg, shim);
-    std::vector<IterationTrace> t = lu.factor(local.data(), lda);
-    if (world.rank() == 0) {
-      trace = std::move(t);
-      stats = lu.schedStats();
-    }
-  });
-  ASSERT_EQ(static_cast<index_t>(trace.size()), cfg.n / cfg.b);
-  double gemmTotal = 0.0;
-  for (const IterationTrace& t : trace) {
-    gemmTotal += t.gemmSeconds;
+TEST(SchedEquiv, ProgressHookAbortsCollectively) {
+  // The per-step abort poll is itself a collective: every rank must stop
+  // at the same step without hanging, on both step loops. Abort after
+  // step 2 via the progress hook.
+  for (const bool lookahead : {false, true}) {
+    HplaiConfig cfg = pipelined(baseConfig(128, 16, 2, 2));
+    cfg.lookahead = lookahead;
+    cfg.progressCallback = [](index_t k, double) { return k >= 2; };
+    const HplaiResult r = runHplai(cfg);
+    EXPECT_TRUE(r.aborted) << describe(cfg);
+    EXPECT_FALSE(r.converged) << describe(cfg);
   }
-  EXPECT_GT(gemmTotal, 0.0);
-  EXPECT_GT(stats.records.size(), 0u);
-  EXPECT_EQ(stats.tasksSkipped, 0);
-  EXPECT_FALSE(stats.cancelled);
-  // Every record has a sane interval and every kind maps to a name.
-  for (const TaskGraph::TaskRecord& rec : stats.records) {
-    EXPECT_GE(rec.endSeconds, rec.beginSeconds);
-    EXPECT_NE(std::string(toString(rec.kind)), "unknown");
-  }
-}
-
-TEST(SchedEquiv, ProgressHookAbortsDataflowCollectively) {
-  // The poll task chain must stop every rank at the same step without
-  // hanging: abort after step 2 via the progress hook.
-  HplaiConfig cfg = baseConfig(128, 16, 2, 2);
-  cfg.scheduler = HplaiConfig::Scheduler::kDataflow;
-  cfg.progressCallback = [](index_t k, double) { return k >= 2; };
-  const HplaiResult r = runHplai(cfg);
-  EXPECT_TRUE(r.aborted);
-  EXPECT_FALSE(r.converged);
 }
 
 }  // namespace
