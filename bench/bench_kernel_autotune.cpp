@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
   ThreadPool& pool = ThreadPool::global();
   bench::banner("Kernel autotune",
                 "native GEMM before/after + blocking sweep + rate curves");
-  std::printf("lanes=%lld  N=%lld  sweepN=%lld\n",
+  std::printf("isa=%s  lanes=%lld  N=%lld  sweepN=%lld\n",
+              blas::activeGemmKernel().name,
               static_cast<long long>(pool.laneCount()),
               static_cast<long long>(n), static_cast<long long>(sweepN));
 
@@ -217,6 +218,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"n\": %lld,\n", static_cast<long long>(n));
+  std::fprintf(f, "  \"isa\": \"%s\",\n", blas::activeGemmKernel().name);
   std::fprintf(f, "  \"threads\": %lld,\n",
                static_cast<long long>(pool.laneCount()));
   std::fprintf(f, "  \"baseline_gflops\": %.3f,\n", beforeGf);

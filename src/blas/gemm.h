@@ -10,18 +10,25 @@
 // op(A) and op(B) are packed once into zero-padded microkernel strips in a
 // persistent pool-owned arena (packed A is shared across all column blocks
 // and packed B across all row blocks — nothing is re-packed, and the hot
-// loop never touches the allocator), then a kGemmMr x kGemmNr register-
-// accumulator microkernel sweeps (mc x nc) macro-tiles under 2D
-// parallelism on the
+// loop never touches the allocator), then an MR x NR register-accumulator
+// microkernel sweeps (mc x nc) macro-tiles under 2D parallelism on the
 // shared ThreadPool. The packing step performs both the transposition
 // and, for gemmMixed, the half->float widening, which is exactly the data
 // flow of a tensor-core MMA pipeline: FP16 operands are widened on load
 // and accumulated in FP32.
 //
+// ISA dispatch: the pack and microkernel templates are compiled once per
+// x86 ISA level (SSE2, AVX2, AVX-512) under function target attributes,
+// with no -march flag, and the widest level the CPU supports is picked
+// once per process (blas/tune.h: activeGemmKernel). Every entry point
+// below runs it; no caller chooses.
+//
 // Determinism contract: every C element accumulates its k contributions in
-// ascending order with one mul-add per step, independent of thread count
-// and of the (mc, nc, kc) blocking (see blas/tune.h). Results are bitwise
-// identical to the pre-rewrite kernel (blas/gemm_baseline.h), which the
+// ascending order, one multiply and then one add per step (never a fused
+// multiply-add: the library builds with -ffp-contract=off), independent of
+// thread count, of the (mc, nc, kc) blocking (see blas/tune.h) and of the
+// ISA. So results are identical bits on every ISA, and bitwise identical
+// to the pre-rewrite kernel (blas/gemm_baseline.h), which the
 // scheduler-equivalence suite depends on.
 #pragma once
 

@@ -6,9 +6,10 @@ namespace hplmxp {
 
 std::string BlasShim::kernelConfig() const {
   const blas::GemmBlocking bl = blas::gemmBlocking();
+  const blas::GemmKernelShape& kern = blas::activeGemmKernel();
   std::ostringstream os;
-  os << "mr=" << blas::kGemmMr << " nr=" << blas::kGemmNr << " mc=" << bl.mc
-     << " nc=" << bl.nc << " kc=" << bl.kc;
+  os << "isa=" << kern.name << " mr=" << kern.mr << " nr=" << kern.nr
+     << " mc=" << bl.mc << " nc=" << bl.nc << " kc=" << bl.kc;
   return os.str();
 }
 

@@ -70,6 +70,7 @@ GemmTuneResult autotuneGemmBlocking(index_t n, ThreadPool* pool, int reps) {
   const blas::GemmBlocking saved = blas::gemmBlocking();
 
   GemmTuneResult result;
+  result.isa = blas::activeGemmKernel().name;
   result.problemSize = n;
   result.baseline = gemmMixedGflops(n, pool, reps, a, b, c);
   result.blocking = saved;
@@ -96,6 +97,7 @@ GemmTuneResult autotuneGemmBlocking(index_t n, ThreadPool* pool, int reps) {
     }
   }
   blas::setGemmBlocking(result.blocking);
+  result.blocking = blas::gemmBlocking();  // as installed: rounded to MR, NR
   return result;
 }
 
@@ -158,6 +160,7 @@ bool saveTuneTable(const std::string& path, const GemmTuneResult& tune,
     return false;
   }
   out << "# hplmxp kernel tune table v1\n";
+  out << "isa " << tune.isa << "\n";
   out << "blocking " << tune.blocking.mc << " " << tune.blocking.nc << " "
       << tune.blocking.kc << " " << tune.gflops << "\n";
   for (const auto& s : curves.gemm) {
@@ -186,7 +189,9 @@ bool loadTuneTable(const std::string& path, GemmTuneResult* tune,
     std::istringstream ls(line);
     std::string key;
     ls >> key;
-    if (key == "blocking" && tune != nullptr) {
+    if (key == "isa" && tune != nullptr) {
+      ls >> tune->isa;
+    } else if (key == "blocking" && tune != nullptr) {
       blas::GemmBlocking bl;
       double gf = 0.0;
       if (ls >> bl.mc >> bl.nc >> bl.kc >> gf) {

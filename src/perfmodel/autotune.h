@@ -26,6 +26,7 @@ namespace hplmxp {
 
 /// Outcome of a blocking sweep: the winning blocking and its measured rate.
 struct GemmTuneResult {
+  std::string isa;  // kernel the blocking was tuned on (GemmKernelShape::name)
   blas::GemmBlocking blocking;
   double gflops = 0.0;   // rate of the winning blocking
   double baseline = 0.0; // rate of the default blocking, for comparison
@@ -49,12 +50,15 @@ MeasuredKernelCurves measureKernelCurves(const std::vector<index_t>& sizes,
                                          int reps = 2);
 
 /// Persists / restores a tune table as plain "key value..." text lines:
+///   isa <sse2|avx2|avx512>
 ///   blocking <mc> <nc> <kc> <gflops>
 ///   gemm <size> <flops_per_sec>
 ///   getrf <size> <flops_per_sec>
 ///   trsm <size> <flops_per_sec>
 /// Unknown lines and '#' comments are skipped on load. loadTuneTable does
-/// NOT install the blocking; callers decide (see bench_kernel_autotune).
+/// NOT install the blocking; callers decide (see bench_kernel_autotune),
+/// and a blocking whose isa is not activeGemmKernel().name was tuned for
+/// another microkernel shape.
 bool saveTuneTable(const std::string& path, const GemmTuneResult& tune,
                    const MeasuredKernelCurves& curves);
 bool loadTuneTable(const std::string& path, GemmTuneResult* tune,

@@ -2,9 +2,12 @@
 // scalars, leading dimensions, and all three precisions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "blas/gemm.h"
@@ -463,6 +466,187 @@ TEST(GemmMixed, InputsAreRoundedToHalfExactly) {
                   a.data(), 1, b.data(), 1, 0.0f, &c, 1);
   EXPECT_EQ(c, half16(v).toFloat());
   EXPECT_NE(c, v);
+}
+
+// ---------------------------------------------------------------------------
+// Cross-ISA identity. The packed GEMM is compiled per x86 ISA level and
+// picked at run time (blas/tune.h); every level must produce the bits of
+// the oracle and of the SSE2 kernel, for every entry point, so the ISA a
+// host happens to have can never move a result. Each supported ISA is run
+// through the blas::detail test seam. memcmp, not tolerances.
+// ---------------------------------------------------------------------------
+
+template <typename TIn>
+using AccOf = std::conditional_t<std::is_same_v<TIn, double>, double, float>;
+
+template <typename TIn>
+std::vector<TIn> randomOf(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> d(-1.0, 1.0);
+  std::vector<TIn> v(n);
+  for (auto& x : v) {
+    if constexpr (std::is_same_v<TIn, double>) {
+      x = d(rng);
+    } else {
+      x = TIn(static_cast<float>(d(rng)));
+    }
+  }
+  return v;
+}
+
+/// The production entry point for TIn: sgemm, dgemm or gemmLowp<TIn>.
+template <typename TIn>
+void productionGemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
+                    AccOf<TIn> alpha, const TIn* a, index_t lda, const TIn* b,
+                    index_t ldb, AccOf<TIn> beta, AccOf<TIn>* c, index_t ldc,
+                    ThreadPool* pool) {
+  if constexpr (std::is_same_v<TIn, float>) {
+    blas::sgemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, pool);
+  } else if constexpr (std::is_same_v<TIn, double>) {
+    blas::dgemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, pool);
+  } else {
+    blas::gemmLowp<TIn>(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
+                        pool);
+  }
+}
+
+/// The bitwise oracle for TIn: the pre-rewrite kernel for FP32/FP64, the
+/// scalar order-exact reference for the storage-ladder rungs.
+template <typename TIn>
+void oracleGemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
+                AccOf<TIn> alpha, const TIn* a, index_t lda, const TIn* b,
+                index_t ldb, AccOf<TIn> beta, AccOf<TIn>* c, index_t ldc) {
+  if constexpr (std::is_same_v<TIn, float>) {
+    blas::baseline::sgemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
+                          ldc);
+  } else if constexpr (std::is_same_v<TIn, double>) {
+    blas::baseline::dgemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
+                          ldc);
+  } else {
+    blas::ref::gemmLowpOrderExact<TIn>(ta, tb, m, n, k, alpha, a, lda, b, ldb,
+                                       beta, c, ldc);
+  }
+}
+
+TEST(GemmIsa, SupportedListStartsAtSse2AndActiveIsTheWidest) {
+  const std::vector<blas::GemmIsa> isas = blas::detail::supportedGemmIsas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), blas::GemmIsa::kSse2);
+  EXPECT_EQ(blas::activeGemmKernel().isa, isas.back());
+  EXPECT_EQ(&blas::detail::callerGemmKernel(), &blas::activeGemmKernel());
+  for (blas::GemmIsa isa : isas) {
+    blas::detail::ScopedGemmIsa guard(isa);
+    EXPECT_EQ(blas::detail::callerGemmKernel().isa, isa);
+  }
+  EXPECT_EQ(&blas::detail::callerGemmKernel(), &blas::activeGemmKernel());
+}
+
+TEST(GemmIsa, BlockingRoundsToTheActiveKernelShape) {
+  BlockingGuard guard;
+  const blas::GemmKernelShape& kern = blas::activeGemmKernel();
+  blas::setGemmBlocking(blas::GemmBlocking{1, 1, 1});
+  EXPECT_EQ(blas::gemmBlocking().mc, kern.mr);
+  EXPECT_EQ(blas::gemmBlocking().nc, kern.nr);
+  blas::setGemmBlocking(blas::GemmBlocking{kern.mr + 1, kern.nr + 1, 7});
+  EXPECT_EQ(blas::gemmBlocking().mc, 2 * kern.mr);
+  EXPECT_EQ(blas::gemmBlocking().nc, 2 * kern.nr);
+  EXPECT_EQ(blas::gemmBlocking().kc, 7);
+}
+
+template <typename TIn>
+class GemmIsaBitwiseTest : public ::testing::Test {};
+
+using IsaElementTypes =
+    ::testing::Types<float, double, half16, lowp::bfloat16, lowp::fp8e4m3,
+                     lowp::fp8e5m2>;
+TYPED_TEST_SUITE(GemmIsaBitwiseTest, IsaElementTypes);
+
+TYPED_TEST(GemmIsaBitwiseTest, EveryIsaMatchesOracleAndSse2Bitwise) {
+  using TIn = TypeParam;
+  using TAcc = AccOf<TIn>;
+  const std::vector<blas::GemmIsa> isas = blas::detail::supportedGemmIsas();
+  ASSERT_EQ(isas.front(), blas::GemmIsa::kSse2);
+
+  struct Shape {
+    index_t m, n, k;
+  };
+  // m and n are multiples of no MR (24, 32) and no NR (2, 3, 8); k = 300
+  // crosses the default kc = 256 panel boundary.
+  const Shape shapes[] = {{37, 53, 300}, {71, 13, 64}, {1, 1, 1}};
+  struct Scalars {
+    TAcc alpha, beta;
+  };
+  const Scalars scalars[] = {{TAcc(-1), TAcc(1)},
+                             {TAcc(0.37), TAcc(0.5)},
+                             {TAcc(1), TAcc(0)},
+                             {TAcc(0), TAcc(0.5)}};
+  const Trans kTr[] = {Trans::kNoTrans, Trans::kTrans};
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool four(4);
+  ThreadPool* const pools[] = {&one, &two, &four};
+
+  unsigned seed = 700;
+  for (Trans ta : kTr) {
+    for (Trans tb : kTr) {
+      for (const Shape& sh : shapes) {
+        for (const Scalars& sc : scalars) {
+          const index_t lda = (ta == Trans::kNoTrans ? sh.m : sh.k) + 1;
+          const index_t ldb = (tb == Trans::kNoTrans ? sh.k : sh.n) + 2;
+          const index_t ldc = sh.m + 3;
+          const auto a = randomOf<TIn>(static_cast<std::size_t>(
+              lda * (ta == Trans::kNoTrans ? sh.k : sh.m)), ++seed);
+          const auto b = randomOf<TIn>(static_cast<std::size_t>(
+              ldb * (tb == Trans::kNoTrans ? sh.n : sh.k)), ++seed);
+          auto c0 = randomOf<TAcc>(static_cast<std::size_t>(ldc * sh.n),
+                                   ++seed);
+          if (sc.beta == TAcc(0)) {
+            // beta = 0 overwrites C: a NaN there must not leak through.
+            std::fill(c0.begin(), c0.end(),
+                      std::numeric_limits<TAcc>::quiet_NaN());
+          }
+          auto ref = c0;
+          oracleGemm<TIn>(ta, tb, sh.m, sh.n, sh.k, sc.alpha, a.data(), lda,
+                          b.data(), ldb, sc.beta, ref.data(), ldc);
+
+          for (ThreadPool* pool : pools) {
+            std::vector<TAcc> sse2;
+            for (blas::GemmIsa isa : isas) {
+              blas::detail::ScopedGemmIsa guard(isa);
+              auto c = c0;
+              productionGemm<TIn>(ta, tb, sh.m, sh.n, sh.k, sc.alpha,
+                                  a.data(), lda, b.data(), ldb, sc.beta,
+                                  c.data(), ldc, pool);
+              const auto where = ::testing::Message()
+                                 << blas::gemmKernelShape(isa).name
+                                 << " ta=" << static_cast<int>(ta)
+                                 << " tb=" << static_cast<int>(tb)
+                                 << " m=" << sh.m << " n=" << sh.n
+                                 << " k=" << sh.k << " alpha=" << sc.alpha
+                                 << " beta=" << sc.beta
+                                 << " lanes=" << pool->laneCount();
+              for (index_t j = 0; j < sh.n; ++j) {
+                const std::size_t col = static_cast<std::size_t>(j * ldc);
+                const std::size_t bytes =
+                    static_cast<std::size_t>(sh.m) * sizeof(TAcc);
+                ASSERT_EQ(0, std::memcmp(c.data() + col, ref.data() + col,
+                                         bytes))
+                    << "vs oracle, column " << j << ", " << where;
+                if (isa != blas::GemmIsa::kSse2) {
+                  ASSERT_EQ(0, std::memcmp(c.data() + col, sse2.data() + col,
+                                           bytes))
+                      << "vs sse2, column " << j << ", " << where;
+                }
+              }
+              if (isa == blas::GemmIsa::kSse2) {
+                sse2 = c;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -124,6 +124,50 @@ TEST(GemmAlloc, SteadyStateKernelsPerformZeroAllocations) {
          "live in pool-owned arenas, helper tasks in fixed job slots)";
 }
 
+TEST(GemmAlloc, EveryIsaKernelPerformsZeroSteadyStateAllocations) {
+  // The run-time ISA dispatch (blas/tune.h) must not cost an allocation
+  // either: every compiled kernel, reached through the test seam, runs its
+  // steady state out of the same pool-owned arenas.
+  ThreadPool pool(3);
+  const std::vector<blas::GemmIsa> isas = blas::detail::supportedGemmIsas();
+  const index_t n = 131;  // a multiple of no MR or NR: edge tiles run too
+  const auto count = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+  std::vector<float> af(count, 0.25f), bf(count, -0.5f), c(count, 1.0f);
+  std::vector<double> ad(count, 0.25), bd(count, -0.5), cd(count, 1.0);
+  std::vector<half16> ah(count, half16(0.25f)), bh(count, half16(-0.5f));
+  std::vector<lowp::bfloat16> ab(count, lowp::bfloat16(0.25f));
+
+  auto runAll = [&] {
+    for (blas::GemmIsa isa : isas) {
+      blas::detail::ScopedGemmIsa guard(isa);
+      blas::gemmMixed(Trans::kNoTrans, Trans::kTrans, n, n, n, -1.0f,
+                      ah.data(), n, bh.data(), n, 1.0f, c.data(), n, &pool);
+      blas::gemmLowp<lowp::bfloat16>(Trans::kTrans, Trans::kNoTrans, n, n, n,
+                                     1.0f, ab.data(), n, ab.data(), n, 0.5f,
+                                     c.data(), n, &pool);
+      blas::sgemm(Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0f, af.data(),
+                  n, bf.data(), n, 0.5f, c.data(), n, &pool);
+      blas::dgemm(Trans::kTrans, Trans::kNoTrans, n, n, n, 1.0, ad.data(), n,
+                  bd.data(), n, 0.5, cd.data(), n, &pool);
+    }
+  };
+
+  for (int i = 0; i < 3; ++i) {
+    runAll();
+  }
+  long long delta = 0;
+  {
+    TrackScope scope;
+    const long long before = TrackScope::count();
+    for (int i = 0; i < 5; ++i) {
+      runAll();
+    }
+    delta = TrackScope::count() - before;
+  }
+  EXPECT_EQ(delta, 0) << "an ISA kernel touched the heap in steady state ("
+                      << isas.size() << " ISAs run)";
+}
+
 TEST(GemmAlloc, ArenaStopsGrowingAfterWarmup) {
   ThreadPool pool(2);
   const index_t n = 96;

@@ -200,6 +200,7 @@ TEST(Autotune, SweepInstallsABlockingAndMeasuresRates) {
   ThreadPool pool(2);
   const blas::GemmBlocking before = blas::gemmBlocking();
   const GemmTuneResult r = autotuneGemmBlocking(96, &pool, 1);
+  EXPECT_EQ(r.isa, blas::activeGemmKernel().name);
   EXPECT_EQ(r.problemSize, 96);
   EXPECT_EQ(r.candidatesTried, 27);
   EXPECT_GT(r.gflops, 0.0);
@@ -230,6 +231,7 @@ TEST(Autotune, MeasuredCurvesFeedCalibration) {
 
 TEST(Autotune, TuneTableRoundTripsThroughDisk) {
   GemmTuneResult tune;
+  tune.isa = "avx2";
   tune.blocking = blas::GemmBlocking{64, 96, 128};
   tune.gflops = 12.5;
   MeasuredKernelCurves curves;
@@ -244,6 +246,7 @@ TEST(Autotune, TuneTableRoundTripsThroughDisk) {
   GemmTuneResult loadedTune;
   MeasuredKernelCurves loadedCurves;
   ASSERT_TRUE(loadTuneTable(path, &loadedTune, &loadedCurves));
+  EXPECT_EQ(loadedTune.isa, "avx2");
   EXPECT_EQ(loadedTune.blocking.mc, 64);
   EXPECT_EQ(loadedTune.blocking.nc, 96);
   EXPECT_EQ(loadedTune.blocking.kc, 128);
