@@ -15,6 +15,14 @@
 // perturbs the rounding arithmetic. castToHalf and friends are the
 // historical binary16 names and stay bitwise-identical: they ARE the
 // half16 instantiations.
+//
+// The binary16 narrowing (castToLowp / transCastToLowp<half16>) runs the
+// ISA the GEMM picked (blas/tune.h): F16C's vcvtps2ph on AVX2 and AVX-512
+// hosts, with NaN lanes rewritten to half16::fromFloat's quiet NaN, so the
+// bits equal half16::fromFloat's on every ISA (all 2^32 inputs are
+// tested). TRANS_CAST narrows each 32 x 32 tile into a stack buffer, then
+// transposes the 16-bit words. No cast allocates, except the scaled
+// variants' per-call amax partials.
 #pragma once
 
 #include "fp16/half.h"

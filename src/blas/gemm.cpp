@@ -1,5 +1,6 @@
 #include "blas/gemm.h"
 
+#include "blas/microkernel.h"
 #include "blas/tune.h"
 
 namespace hplmxp::blas {
@@ -10,133 +11,12 @@ namespace {
 // only affects speed, never results) until the packed panels fit.
 constexpr std::size_t kPackBytesCap = std::size_t{96} << 20;
 
-template <typename TAcc, typename TIn>
-inline TAcc widen(TIn v) {
-  return static_cast<TAcc>(v);
-}
-
-/// Packs one MR-row strip of op(A)[i0:i0+rows, k0:k0+kc] into dst, laid
-/// out l-major (dst[l*MR + i]) and zero-padded to the full MR so the
-/// microkernel always streams aligned full-width strips. This is where
-/// FP16 operands widen to the FP32 accumulation type: gemmMixed and sgemm
-/// share the identical numeric path from here on.
-template <index_t MR, typename TAcc, typename TIn>
-[[gnu::always_inline]] inline void packAStrip(Trans ta, const TIn* a,
-                                              index_t lda, index_t i0,
-                                              index_t rows, index_t k0,
-                                              index_t kc, TAcc* dst) {
-  if (ta == Trans::kNoTrans) {
-    for (index_t l = 0; l < kc; ++l) {
-      const TIn* src = a + i0 + (k0 + l) * lda;
-      TAcc* d = dst + l * MR;
-      for (index_t i = 0; i < rows; ++i) {
-        d[i] = widen<TAcc>(src[i]);
-      }
-      for (index_t i = rows; i < MR; ++i) {
-        d[i] = TAcc{0};
-      }
-    }
-  } else {
-    for (index_t l = 0; l < kc; ++l) {
-      const TIn* src = a + (k0 + l) + i0 * lda;
-      TAcc* d = dst + l * MR;
-      for (index_t i = 0; i < rows; ++i) {
-        d[i] = widen<TAcc>(src[i * lda]);
-      }
-      for (index_t i = rows; i < MR; ++i) {
-        d[i] = TAcc{0};
-      }
-    }
-  }
-}
-
-/// Packs one NR-column strip of op(B)[k0:k0+kc, j0:j0+cols] into dst,
-/// l-major (dst[l*NR + j]), zero-padded to NR, with alpha folded in:
-/// alpha * widen(b) is the exact per-step scaling the pre-rewrite kernel
-/// applied (bv = alpha * bcol[l]), so results stay bitwise identical.
-template <index_t NR, typename TAcc, typename TIn>
-[[gnu::always_inline]] inline void packBStrip(Trans tb, const TIn* b,
-                                              index_t ldb, index_t k0,
-                                              index_t j0, index_t cols,
-                                              index_t kc, TAcc alpha,
-                                              TAcc* dst) {
-  if (tb == Trans::kNoTrans) {
-    for (index_t l = 0; l < kc; ++l) {
-      const TIn* src = b + (k0 + l);
-      TAcc* d = dst + l * NR;
-      for (index_t j = 0; j < cols; ++j) {
-        d[j] = alpha * widen<TAcc>(src[(j0 + j) * ldb]);
-      }
-      for (index_t j = cols; j < NR; ++j) {
-        d[j] = TAcc{0};
-      }
-    }
-  } else {
-    for (index_t l = 0; l < kc; ++l) {
-      const TIn* src = b + (k0 + l) * ldb;
-      TAcc* d = dst + l * NR;
-      for (index_t j = 0; j < cols; ++j) {
-        d[j] = alpha * widen<TAcc>(src[j0 + j]);
-      }
-      for (index_t j = cols; j < NR; ++j) {
-        d[j] = TAcc{0};
-      }
-    }
-  }
-}
-
-/// Register-blocked microkernel: C[0:rows, 0:cols] += Ap * Bp over one
-/// packed k panel, with an MR x NR accumulator block held in registers.
-/// Each C element still receives its updates in ascending-k order, one
-/// multiply then one add per step, exactly as the pre-rewrite kernel did
-/// — the register tile only changes where the partial sums live, not
-/// their arithmetic. kEdge = true is the templated edge path: partial
-/// tiles load/store through bounds masks while the mul-add loop stays
-/// full-width (the packed strips are zero-padded, so the padded lanes
-/// are dead weight, not branches).
-template <index_t MR, index_t NR, typename TAcc, bool kEdge>
-[[gnu::always_inline]] inline void microKernel(index_t kc, const TAcc* ap,
-                                               const TAcc* bp, TAcc* c,
-                                               index_t ldc, index_t rows,
-                                               index_t cols) {
-  TAcc acc[NR][MR];
-  if constexpr (kEdge) {
-    for (index_t j = 0; j < NR; ++j) {
-      for (index_t i = 0; i < MR; ++i) {
-        acc[j][i] = (j < cols && i < rows) ? c[i + j * ldc] : TAcc{0};
-      }
-    }
-  } else {
-    for (index_t j = 0; j < NR; ++j) {
-      for (index_t i = 0; i < MR; ++i) {
-        acc[j][i] = c[i + j * ldc];
-      }
-    }
-  }
-  for (index_t l = 0; l < kc; ++l) {
-    const TAcc* a = ap + l * MR;
-    const TAcc* b = bp + l * NR;
-    for (index_t j = 0; j < NR; ++j) {
-      const TAcc bv = b[j];
-      for (index_t i = 0; i < MR; ++i) {
-        acc[j][i] += a[i] * bv;
-      }
-    }
-  }
-  if constexpr (kEdge) {
-    for (index_t j = 0; j < cols; ++j) {
-      for (index_t i = 0; i < rows; ++i) {
-        c[i + j * ldc] = acc[j][i];
-      }
-    }
-  } else {
-    for (index_t j = 0; j < NR; ++j) {
-      for (index_t i = 0; i < MR; ++i) {
-        c[i + j * ldc] = acc[j][i];
-      }
-    }
-  }
-}
+using kernel::kAvx2Tile;
+using kernel::kAvx512Tile;
+using kernel::kSse2Tile;
+using kernel::microTile;
+using kernel::packAStrip;
+using kernel::packBStrip;
 
 /// One k panel of one GEMM call: everything the per-ISA entry points
 /// need to pack strips and compute macro-tiles of it.
@@ -193,14 +73,8 @@ template <index_t MR, index_t NR, typename TIn, typename TAcc>
       for (index_t ir = i0; ir < iEnd; ir += MR) {
         const index_t rows = std::min(MR, p.m - ir);
         const TAcc* ap = p.aPack + (ir / MR) * (MR * p.kc);
-        TAcc* ctile = p.c + ir + jr * p.ldc;
-        if (rows == MR && cols == NR) {
-          microKernel<MR, NR, TAcc, false>(p.kc, ap, bp, ctile, p.ldc, rows,
-                                           cols);
-        } else {
-          microKernel<MR, NR, TAcc, true>(p.kc, ap, bp, ctile, p.ldc, rows,
-                                          cols);
-        }
+        microTile<MR, NR, false>(p.kc, ap, bp, p.c + ir + jr * p.ldc, p.ldc, rows,
+                          cols);
       }
     }
   }
@@ -211,8 +85,6 @@ template <index_t MR, index_t NR, typename TIn, typename TAcc>
 // for a wider ISA than the baseline, and the wide code never leaves
 // them (tests/blas_isa_audit.cmake checks this, and that no FMA was
 // contracted).
-constexpr GemmKernelShape kSse2Tile = gemmKernelShape(GemmIsa::kSse2);
-
 template <typename TIn, typename TAcc>
 void packSse2(const Panel<TIn, TAcc>& p, index_t lo, index_t hi) {
   packRange<kSse2Tile.mr, kSse2Tile.nr>(p, lo, hi);
@@ -223,9 +95,6 @@ void computeSse2(const Panel<TIn, TAcc>& p, index_t lo, index_t hi) {
 }
 
 #if defined(__x86_64__) || defined(__i386__)
-constexpr GemmKernelShape kAvx2Tile = gemmKernelShape(GemmIsa::kAvx2);
-constexpr GemmKernelShape kAvx512Tile = gemmKernelShape(GemmIsa::kAvx512);
-
 template <typename TIn, typename TAcc>
 [[gnu::target("avx2")]] void packAvx2(const Panel<TIn, TAcc>& p, index_t lo,
                                       index_t hi) {

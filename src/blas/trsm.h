@@ -7,9 +7,23 @@
 //   * TRSM_R_UP   — Right / Upper / NonUnit: L(k+1:n, k) = A(k+1:n, k) U11^{-1}
 //
 // The triangular matrix A is B x B (small); B has panel shape. The solve is
-// blocked: forward/backward substitution over kNb-wide stripes with GEMM
-// updates in between, parallelized over right-hand-side columns (kLeft) or
-// rows (kRight).
+// blocked: one parallel loop over stripes of right-hand-side columns
+// (kLeft) or rows (kRight); inside a stripe, each 32-wide diagonal block of
+// A is solved in place, then the GEMM's packed microkernel subtracts the
+// block's contribution from the rest of the stripe. A triangle of order
+// <= 32 is one block: no packing and no arena lease. Like the GEMM, the
+// solve is compiled per x86 ISA level and runs the ISA the GEMM picked
+// (blas/tune.h: activeGemmKernel); no caller chooses.
+//
+// Determinism contract: bits identical to the column-oriented solve on
+// every ISA; no FMA. Every element of X receives that solve's multiplies
+// and subtracts, one multiply then one subtract per update, in its order
+// (ascending for lower-left and upper-right, descending for upper-left,
+// and so on), then the division by the pivot, independent of thread
+// count, stripe width and ISA. The three variants whose updates run
+// against their solve order (left lower^T, right lower, right upper^T)
+// are not blocked. tests/test_blas_trsm.cpp checks every variant against
+// that solve (tests/trsm_oracle.h) under memcmp.
 #pragma once
 
 #include "blas/types.h"

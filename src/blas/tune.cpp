@@ -18,7 +18,8 @@ bool cpuSupports(GemmIsa isa) {
     case GemmIsa::kSse2:
       return true;
     case GemmIsa::kAvx2:
-      return __builtin_cpu_supports("avx2");
+      // The avx2 level's FP16 narrowing (blas/cast.cpp) uses F16C.
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
     case GemmIsa::kAvx512:
       return __builtin_cpu_supports("avx512f") &&
              __builtin_cpu_supports("avx512vl");

@@ -77,34 +77,4 @@ std::uint16_t half16::fromFloat(float f) {
   return sign;
 }
 
-float half16::toFloatBits(std::uint16_t h) {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp16 = (h >> 10) & 0x1Fu;
-  std::uint32_t mant16 = h & 0x3FFu;
-
-  std::uint32_t out;
-  if (exp16 == 0) {
-    if (mant16 == 0) {
-      out = sign;  // signed zero
-    } else {
-      // Subnormal: normalize into float's larger exponent range.
-      int e = -1;
-      std::uint32_t m = mant16;
-      do {
-        ++e;
-        m <<= 1;
-      } while ((m & 0x400u) == 0);
-      const std::uint32_t exp32 =
-          static_cast<std::uint32_t>(kF32ExpBias - kF16ExpBias - e);
-      out = sign | (exp32 << 23) | ((m & 0x3FFu) << 13);
-    }
-  } else if (exp16 == 31) {
-    out = sign | 0x7F800000u | (mant16 << 13);  // inf / NaN
-  } else {
-    const std::uint32_t exp32 = exp16 - kF16ExpBias + kF32ExpBias;
-    out = sign | (exp32 << 23) | (mant16 << 13);
-  }
-  return std::bit_cast<float>(out);
-}
-
 }  // namespace hplmxp

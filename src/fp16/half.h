@@ -9,6 +9,7 @@
 // lossless binary16 -> float widening.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -55,8 +56,27 @@ class half16 {
 
   /// Round-to-nearest-even conversion, bit-exact IEEE binary16.
   static std::uint16_t fromFloat(float f);
-  /// Exact widening of binary16 bits to float.
-  static float toFloatBits(std::uint16_t h);
+  /// Exact widening of binary16 bits to float. Branchless and inline, so
+  /// loops over it (the GEMM pack) vectorize at whatever ISA they are
+  /// compiled for:
+  ///   * normal: rebias the exponent by 127 - 15 = 112;
+  ///   * inf/NaN: exponent 31 -> 255, the payload kept (signalling NaNs
+  ///     stay signalling, which F16C's vcvtph2ps would not do);
+  ///   * zero/subnormal: mant * 2^-24, exact in float.
+  /// All three are computed and blended with masks: a branch, or a select
+  /// GCC turns into one, would stop such loops vectorizing.
+  static float toFloatBits(std::uint16_t h) {
+    const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
+    const std::uint32_t em = h & 0x7FFFu;
+    const std::uint32_t infNan =
+        (0u - static_cast<std::uint32_t>(em >= 0x7C00u)) & (112u << 23);
+    const std::uint32_t large = ((em + (112u << 10)) << 13) + infNan;
+    const std::uint32_t small =
+        std::bit_cast<std::uint32_t>(static_cast<float>(em) * 0x1p-24f);
+    const std::uint32_t isSmall =
+        0u - static_cast<std::uint32_t>(em < 0x0400u);
+    return std::bit_cast<float>(sign | (small & isSmall) | (large & ~isSmall));
+  }
 
  private:
   std::uint16_t bits_ = 0;

@@ -1,14 +1,19 @@
 // TRSM kernels vs the reference oracle and vs direct reconstruction
-// (op(A) * X == alpha * B), over all side/uplo/diag combinations.
+// (op(A) * X == alpha * B), over all side/uplo/diag combinations, and bit
+// for bit vs the order-exact column-oriented oracle on every ISA.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "blas/gemm.h"
 #include "blas/reference.h"
 #include "blas/trsm.h"
+#include "blas/tune.h"
+#include "trsm_oracle.h"
 
 namespace hplmxp {
 namespace {
@@ -170,6 +175,133 @@ TEST(Trsm, EmptyDimsAreNoOps) {
   blas::strsm(Side::kLeft, Uplo::kLower, Diag::kUnit, 0, 0, 1.0f, &a, 1, &b,
               1);
   EXPECT_EQ(b, 5.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise contract: the blocked solve gives every element the column-
+// oriented solve's multiplies, subtracts and division in the same order,
+// so it matches oracle::trsmOrderExact under memcmp for every variant,
+// shape, alpha, lane count and ISA.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class TrsmIsaBitwiseTest : public ::testing::Test {};
+
+using TrsmElementTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(TrsmIsaBitwiseTest, TrsmElementTypes);
+
+/// Triangle of order n in an lda x n array: diagonal 2 +- 0.4, the
+/// referenced off-diagonal triangle small, and garbage (777) everywhere
+/// the solve must not read, the diagonal too when it is unit.
+template <typename T>
+std::vector<T> garbageOutsideTriangle(index_t n, index_t lda, Uplo uplo,
+                                      Diag diag, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> d(-0.4, 0.4);
+  std::vector<T> a(static_cast<std::size_t>(lda * n), T(777));
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < n; ++i) {
+      const bool inTri = uplo == Uplo::kLower ? i > j : i < j;
+      if (inTri) {
+        a[static_cast<std::size_t>(i + j * lda)] =
+            static_cast<T>(d(rng) * 4.0 / static_cast<double>(n));
+      }
+    }
+    if (diag == Diag::kNonUnit) {
+      a[static_cast<std::size_t>(j + j * lda)] = static_cast<T>(2.0 + d(rng));
+    }
+  }
+  return a;
+}
+
+TYPED_TEST(TrsmIsaBitwiseTest, EveryVariantMatchesOrderExactOracleBitwise) {
+  using T = TypeParam;
+  const std::vector<blas::GemmIsa> isas = blas::detail::supportedGemmIsas();
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool four(4);
+  ThreadPool* const pools[] = {&one, &two, &four};
+  // Triangle orders below, at and across the 32-wide diagonal block (none
+  // a multiple of it past one block), against right-hand-side counts
+  // that are multiples of no stripe or tile width.
+  const index_t triOrders[] = {1, 32, 33, 70, 131};
+  const index_t rhsCounts[] = {1, 37, 150};
+  const T alphas[] = {T(1), T(-0.75)};
+  unsigned seed = 900;
+  for (Side side : {Side::kLeft, Side::kRight}) {
+    for (Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      for (Trans trans : {Trans::kNoTrans, Trans::kTrans}) {
+        for (Diag diag : {Diag::kUnit, Diag::kNonUnit}) {
+          for (index_t tri : triOrders) {
+            for (index_t rhs : rhsCounts) {
+              const index_t m = side == Side::kLeft ? tri : rhs;
+              const index_t n = side == Side::kLeft ? rhs : tri;
+              const index_t lda = tri + 3;
+              const index_t ldb = m + 5;
+              const auto a =
+                  garbageOutsideTriangle<T>(tri, lda, uplo, diag, ++seed);
+              std::mt19937 rng(++seed);
+              std::uniform_real_distribution<double> d(-1.0, 1.0);
+              std::vector<T> b0(static_cast<std::size_t>(ldb * n));
+              for (auto& v : b0) {
+                v = static_cast<T>(d(rng));
+              }
+              for (T alpha : alphas) {
+                auto ref = b0;
+                oracle::trsmOrderExact<T>(side, uplo, trans, diag, m, n,
+                                          alpha, a.data(), lda, ref.data(),
+                                          ldb);
+                for (ThreadPool* pool : pools) {
+                  for (blas::GemmIsa isa : isas) {
+                    blas::detail::ScopedGemmIsa guard(isa);
+                    auto x = b0;
+                    if constexpr (std::is_same_v<T, float>) {
+                      blas::strsm(side, uplo, trans, diag, m, n, alpha,
+                                  a.data(), lda, x.data(), ldb, pool);
+                    } else {
+                      blas::dtrsm(side, uplo, trans, diag, m, n, alpha,
+                                  a.data(), lda, x.data(), ldb, pool);
+                    }
+                    ASSERT_EQ(0, std::memcmp(x.data(), ref.data(),
+                                             x.size() * sizeof(T)))
+                        << blas::gemmKernelShape(isa).name
+                        << " side=" << static_cast<int>(side)
+                        << " uplo=" << static_cast<int>(uplo)
+                        << " trans=" << static_cast<int>(trans)
+                        << " diag=" << static_cast<int>(diag) << " m=" << m
+                        << " n=" << n << " alpha=" << alpha
+                        << " lanes=" << pool->laneCount();
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TrsmBitwise, NoTransShorthandIsTheNoTransSolve) {
+  // The four-argument overloads are the NoTrans solve, bit for bit.
+  const index_t m = 70;
+  const index_t n = 45;
+  const auto a = garbageOutsideTriangle<float>(m, m, Uplo::kLower,
+                                               Diag::kUnit, 5);
+  std::mt19937 rng(6);
+  std::uniform_real_distribution<float> d(-1.0f, 1.0f);
+  std::vector<float> b(static_cast<std::size_t>(m * n));
+  for (auto& v : b) {
+    v = d(rng);
+  }
+  auto x = b;
+  auto ref = b;
+  blas::strsm(Side::kLeft, Uplo::kLower, Diag::kUnit, m, n, 1.0f, a.data(),
+              m, x.data(), m);
+  oracle::trsmOrderExact<float>(Side::kLeft, Uplo::kLower, Trans::kNoTrans,
+                                Diag::kUnit, m, n, 1.0f, a.data(), m,
+                                ref.data(), m);
+  EXPECT_EQ(0, std::memcmp(x.data(), ref.data(), x.size() * sizeof(float)));
 }
 
 }  // namespace

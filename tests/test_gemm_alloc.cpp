@@ -2,11 +2,12 @@
 // kernel allocated its aPack/bPack vectors inside the parallel-for lambda
 // (per task, per call). The rewritten kernel leases persistent pack arenas
 // from the thread pool, so a steady-state GEMM must perform exactly zero
-// heap allocations. This binary overrides the global allocator to count
+// heap allocations; so must the rest of the panel path (TRSM, casts). This binary overrides the global allocator to count
 // every operator new, which is why these tests live in their own
 // executable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -165,6 +166,66 @@ TEST(GemmAlloc, EveryIsaKernelPerformsZeroSteadyStateAllocations) {
     delta = TrackScope::count() - before;
   }
   EXPECT_EQ(delta, 0) << "an ISA kernel touched the heap in steady state ("
+                      << isas.size() << " ISAs run)";
+}
+
+TEST(GemmAlloc, PanelKernelsPerformZeroSteadyStateAllocations) {
+  // The rest of the panel path on every ISA: the blocked TRSM (its packed
+  // triangle lives in a pool arena, its stripe buffers on the stack) and
+  // both FP16 casts (stack tiles only), plus a GETRF that runs them.
+  ThreadPool pool(3);
+  const std::vector<blas::GemmIsa> isas = blas::detail::supportedGemmIsas();
+  const index_t b = 131;   // > one 32-wide diagonal block: blocked path
+  const index_t w = 200;   // right-hand sides: no stripe multiple
+  std::vector<float> tri(static_cast<std::size_t>(b * b), 0.01f);
+  std::vector<double> trid(static_cast<std::size_t>(b * b), 0.01);
+  for (index_t i = 0; i < b; ++i) {
+    tri[static_cast<std::size_t>(i + i * b)] = 2.0f;
+    trid[static_cast<std::size_t>(i + i * b)] = 2.0;
+  }
+  std::vector<float> wide(static_cast<std::size_t>(b * w), 0.5f);
+  std::vector<float> tall(static_cast<std::size_t>(w * b), 0.5f);
+  std::vector<double> wided(static_cast<std::size_t>(b * w), 0.5);
+  std::vector<half16> h(static_cast<std::size_t>(b * w));
+  const index_t n = 150;
+  std::vector<float> lu(static_cast<std::size_t>(n * n), 0.01f);
+  for (index_t i = 0; i < n; ++i) {
+    lu[static_cast<std::size_t>(i + i * n)] = 4.0f;
+  }
+  std::vector<float> luWork(lu.size());
+
+  auto runAll = [&] {
+    for (blas::GemmIsa isa : isas) {
+      blas::detail::ScopedGemmIsa guard(isa);
+      blas::strsm(blas::Side::kLeft, blas::Uplo::kLower, blas::Diag::kUnit, b,
+                  w, 1.0f, tri.data(), b, wide.data(), b, &pool);
+      blas::strsm(blas::Side::kRight, blas::Uplo::kUpper,
+                  blas::Diag::kNonUnit, w, b, 1.0f, tri.data(), b,
+                  tall.data(), w, &pool);
+      blas::dtrsm(blas::Side::kLeft, blas::Uplo::kUpper, blas::Trans::kTrans,
+                  blas::Diag::kNonUnit, b, w, 0.5, trid.data(), b,
+                  wided.data(), b, &pool);
+      blas::castToHalf(w, b, tall.data(), w, h.data(), w, &pool);
+      blas::transCastToHalf(b, w, wide.data(), b, h.data(), w, &pool);
+      std::copy(lu.begin(), lu.end(), luWork.begin());
+      blas::getrfNoPiv(n, luWork.data(), n, &pool);
+    }
+  };
+
+  for (int i = 0; i < 3; ++i) {
+    runAll();
+  }
+  long long delta = 0;
+  {
+    TrackScope scope;
+    const long long before = TrackScope::count();
+    for (int i = 0; i < 5; ++i) {
+      runAll();
+    }
+    delta = TrackScope::count() - before;
+  }
+  EXPECT_EQ(delta, 0) << "a TRSM, cast or GETRF touched the heap in steady "
+                         "state ("
                       << isas.size() << " ISAs run)";
 }
 

@@ -4,14 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
+#include "blas/cast.h"
+#include "blas/gemm.h"
+#include "blas/reference.h"
+#include "blas/tune.h"
 #include "encoding_oracle.h"
 #include "fp16/half.h"
+#include "util/thread_pool.h"
 
 namespace hplmxp {
 namespace {
@@ -200,6 +207,162 @@ TEST(HalfExhaustive, EncodeMatchesNearestEvenOracle) {
   for (int i = 0; i < 200000; ++i) {
     s = s * 1664525u + 1013904223u;
     check(std::bit_cast<float>(s & 0x7FFFFFFFu));  // sign covered in check()
+  }
+}
+
+/// Independent binary16 decoder, sharing no code with toFloatBits: it
+/// normalizes subnormals by shifting the significand up.
+std::uint32_t decodeByNormalizing(std::uint16_t h) {
+  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
+  const std::uint32_t exp16 = (h >> 10) & 0x1Fu;
+  const std::uint32_t mant16 = h & 0x3FFu;
+  if (exp16 == 0) {
+    if (mant16 == 0) {
+      return sign;
+    }
+    int e = -1;
+    std::uint32_t m = mant16;
+    do {
+      ++e;
+      m <<= 1;
+    } while ((m & 0x400u) == 0);
+    return sign | (static_cast<std::uint32_t>(127 - 15 - e) << 23) |
+           ((m & 0x3FFu) << 13);
+  }
+  if (exp16 == 31) {
+    return sign | 0x7F800000u | (mant16 << 13);
+  }
+  return sign | ((exp16 + 127 - 15) << 23) | (mant16 << 13);
+}
+
+TEST(HalfExhaustive, WideningMatchesNormalizingDecoderBitwise) {
+  // Every encoding, signalling NaNs included: their payloads (and the
+  // quiet bit's absence) must survive widening.
+  for (std::uint32_t bits = 0; bits <= 0xFFFFu; ++bits) {
+    const auto b16 = static_cast<std::uint16_t>(bits);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(half16::toFloatBits(b16)),
+              decodeByNormalizing(b16))
+        << "bits=" << bits;
+  }
+}
+
+TEST(HalfExhaustive, GemmPackWideningOnEveryIsaMatchesScalarOracle) {
+  // The GEMM pack widens FP16 inside each ISA's entry points (vectorized
+  // there). A k = 1 product against 1.0 exposes every widened encoding:
+  // C = -0 + widen(h) * 1 keeps zero signs and NaN payloads (the multiply
+  // quiets signalling NaNs on both sides alike).
+  const index_t count = 0x10000;
+  std::vector<half16> all(static_cast<std::size_t>(count));
+  for (index_t i = 0; i < count; ++i) {
+    all[static_cast<std::size_t>(i)] =
+        half16::fromBits(static_cast<std::uint16_t>(i));
+  }
+  const half16 one(1.0f);
+  ThreadPool pool(3);
+  for (blas::GemmIsa isa : blas::detail::supportedGemmIsas()) {
+    blas::detail::ScopedGemmIsa guard(isa);
+    for (blas::Trans t : {blas::Trans::kNoTrans, blas::Trans::kTrans}) {
+      // All encodings as op(A) (count x 1), then as op(B) (1 x count);
+      // with k = 1 either storage order is one contiguous run.
+      std::vector<float> c(static_cast<std::size_t>(count), -0.0f);
+      auto ref = c;
+      blas::gemmMixed(t, blas::Trans::kNoTrans, count, 1, 1, 1.0f, all.data(),
+                      t == blas::Trans::kNoTrans ? count : 1, &one, 1, 1.0f,
+                      c.data(), count, &pool);
+      blas::ref::gemmLowpOrderExact<half16>(
+          t, blas::Trans::kNoTrans, count, 1, 1, 1.0f, all.data(),
+          t == blas::Trans::kNoTrans ? count : 1, &one, 1, 1.0f, ref.data(),
+          count);
+      ASSERT_EQ(0, std::memcmp(c.data(), ref.data(), c.size() * 4))
+          << blas::gemmKernelShape(isa).name << " A trans=" << (t == blas::Trans::kTrans);
+      std::fill(c.begin(), c.end(), -0.0f);
+      ref = c;
+      blas::gemmMixed(blas::Trans::kNoTrans, t, 1, count, 1, 1.0f, &one, 1,
+                      all.data(), t == blas::Trans::kNoTrans ? 1 : count,
+                      1.0f, c.data(), 1, &pool);
+      blas::ref::gemmLowpOrderExact<half16>(
+          blas::Trans::kNoTrans, t, 1, count, 1, 1.0f, &one, 1, all.data(),
+          t == blas::Trans::kNoTrans ? 1 : count, 1.0f, ref.data(), 1);
+      ASSERT_EQ(0, std::memcmp(c.data(), ref.data(), c.size() * 4))
+          << blas::gemmKernelShape(isa).name << " B trans=" << (t == blas::Trans::kTrans);
+    }
+  }
+}
+
+TEST(HalfExhaustive, VectorNarrowingMatchesFromFloatOnEveryIsa) {
+  // castToHalf narrows through the calling thread's ISA (blas/cast.cpp);
+  // the F16C paths must agree with half16::fromFloat on all 2^32 float
+  // bit patterns, NaNs included. The sweep is split across a pool: each
+  // task owns a range of high halves, builds the 2^16 floats that share
+  // one, and narrows them as one column (one chunk, so on its own thread
+  // and through its own ISA guard).
+  const std::vector<blas::GemmIsa> isas = blas::detail::supportedGemmIsas();
+  ThreadPool pool(3);
+  const index_t run = 0x10000;
+  std::atomic<long long> mismatches{0};
+  std::atomic<std::uint32_t> firstBad{0};
+  pool.parallelForChunked(
+      0, 0x10000,
+      [&](index_t hiLo, index_t hiHi) {
+        std::vector<float> in(static_cast<std::size_t>(run));
+        std::vector<std::uint16_t> ref(static_cast<std::size_t>(run));
+        std::vector<half16> out(static_cast<std::size_t>(run));
+        for (index_t hi = hiLo; hi < hiHi; ++hi) {
+          for (index_t lo = 0; lo < run; ++lo) {
+            const auto bits = static_cast<std::uint32_t>(hi << 16 | lo);
+            in[static_cast<std::size_t>(lo)] = std::bit_cast<float>(bits);
+            ref[static_cast<std::size_t>(lo)] =
+                half16::fromFloat(std::bit_cast<float>(bits));
+          }
+          for (blas::GemmIsa isa : isas) {
+            blas::detail::ScopedGemmIsa guard(isa);
+            blas::castToHalf(run, 1, in.data(), run, out.data(), run, &pool);
+            if (std::memcmp(out.data(), ref.data(), ref.size() * 2) == 0) {
+              continue;
+            }
+            for (index_t lo = 0; lo < run; ++lo) {
+              if (out[static_cast<std::size_t>(lo)].bits() !=
+                  ref[static_cast<std::size_t>(lo)]) {
+                firstBad.store(static_cast<std::uint32_t>(hi << 16 | lo));
+                mismatches.fetch_add(1);
+              }
+            }
+          }
+        }
+      },
+      256);
+  EXPECT_EQ(mismatches.load(), 0)
+      << "e.g. float bits 0x" << std::hex << firstBad.load();
+}
+
+TEST(HalfNarrowing, TransCastAndTailsMatchFromFloatOnEveryIsa) {
+  // The narrowing tails (runs that are no multiple of 8 or 16) and the
+  // transposing cast's 32 x 32 tiles, on every ISA, against fromFloat.
+  const index_t m = 45;
+  const index_t n = 71;
+  std::vector<float> src(static_cast<std::size_t>(m * n));
+  std::uint32_t s = 12345u;
+  for (auto& v : src) {
+    s = s * 1664525u + 1013904223u;
+    v = std::bit_cast<float>(s);  // every class: NaN, inf, subnormal, ...
+  }
+  ThreadPool pool(3);
+  for (blas::GemmIsa isa : blas::detail::supportedGemmIsas()) {
+    blas::detail::ScopedGemmIsa guard(isa);
+    std::vector<half16> plain(static_cast<std::size_t>(m * n));
+    std::vector<half16> trans(static_cast<std::size_t>(m * n));
+    blas::castToHalf(m, n, src.data(), m, plain.data(), m, &pool);
+    blas::transCastToHalf(m, n, src.data(), m, trans.data(), n, &pool);
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < m; ++i) {
+        const std::uint16_t want =
+            half16::fromFloat(src[static_cast<std::size_t>(i + j * m)]);
+        ASSERT_EQ(plain[static_cast<std::size_t>(i + j * m)].bits(), want)
+            << blas::gemmKernelShape(isa).name << " i=" << i << " j=" << j;
+        ASSERT_EQ(trans[static_cast<std::size_t>(j + i * n)].bits(), want)
+            << blas::gemmKernelShape(isa).name << " i=" << i << " j=" << j;
+      }
+    }
   }
 }
 
