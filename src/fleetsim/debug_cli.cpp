@@ -154,10 +154,11 @@ void DebugCli::cmdShow(std::istringstream& args) {
     *out_ << "shard " << view.shard << " queue: " << view.queuedRequests
           << " pending requests\n";
   } else if (what == "health") {
-    const ServeWorkload::HealthView health =
-        session_->serve()->healthView(id, session_->sim().now());
-    *out_ << "shard " << health.shard << " @ node " << health.node
-          << ": state " << health.state << ", phi " << health.phi
+    const serve::ShardHealthMonitor::ShardSnapshot health =
+        session_->serve()->healthMonitor().shardSnapshot(
+            id, session_->sim().now());
+    *out_ << "shard " << id << " @ node " << view.node << ": state "
+          << serve::toString(health.state) << ", phi " << health.phi
           << ", last heartbeat " << health.lastHeartbeatAge * 1e3
           << "ms ago, heartbeats " << health.heartbeats << ", quarantines "
           << health.quarantines << "\n";

@@ -38,7 +38,7 @@ enum class EventClass : std::uint8_t {
   kSlowdown,         // a node's throughput multiplier degrades
   // Appended (never reordered): existing golden trace hashes depend on
   // the numeric values above.
-  kHeartbeat,        // a shard's periodic liveness pulse (phi detector)
+  kHeartbeat,        // an idle shard lane's pulse tick (phi detector)
   kHedgeFire,        // a request's hedge delay expired (speculative copy)
 };
 

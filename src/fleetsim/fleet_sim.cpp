@@ -80,12 +80,12 @@ std::string FleetSimReport::toJson() const {
        << ",\n";
     os << "    \"failed\": " << s.failed << ",\n";
     os << "    \"failovers\": " << s.failovers << ",\n";
-    os << "    \"cache_lookups\": " << s.cacheLookups << ",\n";
-    os << "    \"cache_hits\": " << s.cacheHits << ",\n";
-    os << "    \"cache_misses\": " << s.cacheMisses << ",\n";
+    os << "    \"cache_lookups\": " << s.cache.lookups << ",\n";
+    os << "    \"cache_hits\": " << s.cache.hits << ",\n";
+    os << "    \"cache_misses\": " << s.cache.misses << ",\n";
     os << "    \"cache_hit_rate\": " << s.hitRate() << ",\n";
-    os << "    \"factor_count\": " << s.factorCount << ",\n";
-    os << "    \"cache_evictions\": " << s.evictions << ",\n";
+    os << "    \"factor_count\": " << s.cache.factorCount << ",\n";
+    os << "    \"cache_evictions\": " << s.cache.evictions << ",\n";
     os << "    \"batches\": " << s.batches << ",\n";
     os << "    \"mean_batch_size\": " << s.meanBatchSize() << ",\n";
     os << "    \"max_batch_size\": " << s.maxBatchSize << ",\n";

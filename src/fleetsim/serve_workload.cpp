@@ -17,8 +17,6 @@ void ServeWorkloadConfig::validate(const Topology& topology) const {
   HPLMXP_REQUIRE(failoverLimit >= 0, "negative failover limit");
   HPLMXP_REQUIRE(hostGflops > 0.0, "host rate must be positive");
   HPLMXP_REQUIRE(irIterations >= 1, "need >= 1 IR iteration");
-  HPLMXP_REQUIRE(heartbeatIntervalMs > 0.0,
-                 "heartbeat interval must be positive");
   if (hedgeEnabled) {
     HPLMXP_REQUIRE(hedgeDelayFactor >= 0.0 && hedgeMinDelayMs >= 0.0,
                    "hedge delay knobs must be non-negative");
@@ -29,14 +27,13 @@ void ServeWorkloadConfig::validate(const Topology& topology) const {
 
 namespace {
 
-/// The phi detector is seeded from the configured pulse cadence, so the
-/// millisecond CLI knob must land in the monitor's config before it is
-/// constructed.
-serve::HealthConfig syncedHealth(const ServeWorkloadConfig& cfg) {
-  serve::HealthConfig h = cfg.health;
-  h.heartbeatIntervalSeconds = cfg.heartbeatIntervalMs * 1e-3;
-  return h;
+/// A queued copy's request id: the trace index, with the low bit marking
+/// the speculative (hedge) copy.
+std::uint64_t copyId(index_t traceIndex, bool hedge) {
+  return (static_cast<std::uint64_t>(traceIndex) << 1) | (hedge ? 1u : 0u);
 }
+index_t traceOf(std::uint64_t id) { return static_cast<index_t>(id >> 1); }
+bool isHedge(std::uint64_t id) { return (id & 1u) != 0; }
 
 }  // namespace
 
@@ -46,16 +43,18 @@ ServeWorkload::ServeWorkload(ServeWorkloadConfig config,
       topology_(&topology),
       ring_(config_.shards, config_.virtualNodes),
       breaker_(config_.breaker),
-      healthMon_(syncedHealth(config_), config_.shards) {
+      healthMon_(config_.health, config_.shards) {
   config_.validate(topology);
-  cacheBudgetBytes_ = config_.cacheMb * 1024.0 * 1024.0;
   hedgeTokens_ = config_.hedgeBudgetBurst;
-  shards_.resize(static_cast<std::size_t>(config_.shards));
-  sentinels_.reserve(shards_.size());
+  reqState_.resize(config_.trace.requests.size());
+  const auto cacheBytes =
+      static_cast<std::size_t>(config_.cacheMb * 1024.0 * 1024.0);
+  shards_.reserve(static_cast<std::size_t>(config_.shards));
+  sentinels_.reserve(static_cast<std::size_t>(config_.shards));
   const index_t stride = topology.nodes() / config_.shards;
   for (index_t s = 0; s < config_.shards; ++s) {
-    shards_[static_cast<std::size_t>(s)].node = s * std::max<index_t>(
-                                                        stride, 1);
+    shards_.emplace_back(config_.queueDepth, cacheBytes);
+    shards_.back().node = s * std::max<index_t>(stride, 1);
     serve::ProblemKey sentinel;
     sentinel.n = -(s + 1);  // never a servable shape
     sentinels_.push_back(sentinel);
@@ -71,19 +70,8 @@ const serve::TraceRequest& ServeWorkload::traceRequest(index_t i) const {
   return config_.trace.requests[static_cast<std::size_t>(i)];
 }
 
-serve::ProblemKey ServeWorkload::keyOf(const serve::TraceRequest& r) const {
-  serve::ProblemKey key;
-  key.n = r.n;
-  key.b = r.b;
-  key.seed = r.seed;
-  key.pr = r.pr;
-  key.pc = r.pc;
-  key.precision = r.precision;
-  return key;
-}
-
 index_t ServeWorkload::keyIndexOf(const serve::TraceRequest& r) {
-  const serve::ProblemKey key = keyOf(r);
+  const serve::ProblemKey key = r.key();
   const auto [it, inserted] =
       keyIndex_.try_emplace(key, static_cast<index_t>(keys_.size()));
   if (inserted) {
@@ -119,7 +107,7 @@ index_t ServeWorkload::routeShard(index_t keyIndex, double now) {
 }
 
 bool ServeWorkload::markAnswered(index_t traceIndex) {
-  RequestState& st = reqState_[traceIndex];
+  RequestState& st = reqState_[static_cast<std::size_t>(traceIndex)];
   if (st.answered) {
     return false;
   }
@@ -127,23 +115,61 @@ bool ServeWorkload::markAnswered(index_t traceIndex) {
   return true;
 }
 
-void ServeWorkload::failCopy(const PendingRequest& req) {
-  if (req.hedgeCopy || !markAnswered(req.traceIndex)) {
+void ServeWorkload::failCopy(index_t traceIndex, bool hedge) {
+  if (hedge || !markAnswered(traceIndex)) {
     ++stats_.hedgeWasted;  // a losing copy's work, discarded
     return;
   }
   ++stats_.failed;
-  pendingMeta_.erase(req.traceIndex);
 }
 
-void ServeWorkload::scheduleHeartbeat(Simulator& sim, index_t shardIndex) {
+void ServeWorkload::failOver(Simulator& sim, index_t traceIndex, bool hedge,
+                             index_t fromShard, index_t keyIndex) {
+  RequestState& st = reqState_[static_cast<std::size_t>(traceIndex)];
+  if (hedge || st.answered) {
+    ++stats_.hedgeWasted;  // a losing copy dies with the shard
+    return;
+  }
+  if (st.failovers >= config_.failoverLimit) {
+    failCopy(traceIndex, hedge);
+    return;
+  }
+  const double now = sim.now();
+  const index_t next = routeShard(keyIndex, now);
+  if (next < 0) {
+    failCopy(traceIndex, hedge);
+    return;
+  }
+  ++st.failovers;
+  ++stats_.failovers;
+  const double hop = topology_->transferSeconds(
+      shardNode(fromShard), shardNode(next), config_.requestBytes,
+      config_.shards);
+  sim.schedule(now + hop, shardNode(next), EventClass::kRequestArrival, me_,
+               traceIndex, next);
+}
+
+void ServeWorkload::pulse(index_t shardIndex, double now) {
   Shard& shard = shards_[static_cast<std::size_t>(shardIndex)];
-  // A slowed shard pulses proportionally later — the gray-failure signal
-  // the phi detector exists to notice.
-  const double interval =
-      config_.heartbeatIntervalMs * 1e-3 / shard.slowFactor;
-  sim.schedule(sim.now() + interval, shard.node, EventClass::kHeartbeat, me_,
-               shardIndex, shard.pulseGeneration);
+  if (!config_.health.enabled || now < shard.nextPulse) {
+    return;
+  }
+  healthMon_.heartbeat(shardIndex, now);
+  ++stats_.heartbeats;
+  // A slowed lane runs its own clock slow, its pulse cadence included —
+  // the gray-failure signal the phi detector exists to notice.
+  shard.nextPulse =
+      now + config_.health.heartbeatIntervalSeconds / shard.slowFactor;
+}
+
+void ServeWorkload::idleTick(Simulator& sim, index_t shardIndex) {
+  Shard& shard = shards_[static_cast<std::size_t>(shardIndex)];
+  pulse(shardIndex, sim.now());
+  ++shard.generation;
+  if (config_.health.enabled && !done()) {
+    sim.schedule(shard.nextPulse, shard.node, EventClass::kHeartbeat, me_,
+                 shardIndex, shard.generation);
+  }
 }
 
 double ServeWorkload::hedgeDelaySeconds() const {
@@ -166,13 +192,9 @@ double ServeWorkload::hedgeDelaySeconds() const {
 
 void ServeWorkload::fireHedge(Simulator& sim, index_t traceIndex,
                               double now) {
-  const auto stIt = reqState_.find(traceIndex);
-  if (stIt == reqState_.end() || stIt->second.answered) {
+  const RequestState& st = reqState_[static_cast<std::size_t>(traceIndex)];
+  if (st.answered) {
     return;  // answered in time: the hedge is moot
-  }
-  const auto metaIt = pendingMeta_.find(traceIndex);
-  if (metaIt == pendingMeta_.end()) {
-    return;
   }
   // Token-bucket refill on virtual time: a fleet-wide slowdown (every
   // request late) drains the bucket; an isolated slow shard stays within
@@ -187,7 +209,7 @@ void ServeWorkload::fireHedge(Simulator& sim, index_t traceIndex,
   }
   const serve::TraceRequest& r = traceRequest(traceIndex);
   const index_t keyIdx = keyIndexOf(r);
-  const index_t primary = stIt->second.primaryShard;
+  const index_t primary = st.primaryShard;
   // Replica target: the first routable ring successor that is not the
   // primary (the hedge exists to bet on a DIFFERENT shard).
   index_t target = -1;
@@ -253,10 +275,8 @@ void ServeWorkload::start(Simulator& sim) {
         break;
     }
   }
-  if (config_.health.enabled) {
-    for (index_t s = 0; s < config_.shards; ++s) {
-      scheduleHeartbeat(sim, s);
-    }
+  for (index_t s = 0; s < config_.shards; ++s) {
+    idleTick(sim, s);  // every lane starts idle
   }
 }
 
@@ -267,15 +287,13 @@ bool ServeWorkload::done() const {
   return answered == config_.trace.requests.size();
 }
 
-void ServeWorkload::reject(const PendingRequest& req,
-                           serve::RequestStatus status, double now) {
-  (void)now;
-  if (req.hedgeCopy || !markAnswered(req.traceIndex)) {
+void ServeWorkload::reject(index_t traceIndex, bool hedge,
+                           serve::RequestStatus status) {
+  if (hedge || !markAnswered(traceIndex)) {
     // A losing copy's rejection is not the request's fate.
     ++stats_.hedgeWasted;
     return;
   }
-  pendingMeta_.erase(req.traceIndex);
   switch (status) {
     case serve::RequestStatus::kRejectedQueueFull:
       ++stats_.rejectedQueueFull;
@@ -292,56 +310,43 @@ void ServeWorkload::reject(const PendingRequest& req,
   }
 }
 
-void ServeWorkload::evictForBudget(Shard& shard) {
-  while (shard.cacheBytes > cacheBudgetBytes_ && !shard.cache.empty()) {
-    auto victim = shard.cache.begin();
-    for (auto it = shard.cache.begin(); it != shard.cache.end(); ++it) {
-      if (it->second.lastTouch < victim->second.lastTouch) {
-        victim = it;
-      }
-    }
-    shard.cacheBytes -= victim->second.bytes;
-    shard.cache.erase(victim);
-    ++stats_.evictions;
-  }
+void ServeWorkload::armWindow(Simulator& sim, index_t shardIndex,
+                              index_t keyIndex) {
+  Shard& shard = shards_[static_cast<std::size_t>(shardIndex)];
+  sim.schedule(sim.now() + config_.batchDelayUs * 1e-6, shard.node,
+               EventClass::kBatchWindow, me_, shardIndex, keyIndex,
+               static_cast<double>(shard.windows[keyIndex].generation));
 }
 
 void ServeWorkload::dispatchBucket(Simulator& sim, index_t shardIndex,
                                    index_t keyIndex) {
   Shard& shard = shards_[static_cast<std::size_t>(shardIndex)];
-  auto bucketIt = shard.buckets.find(keyIndex);
-  if (bucketIt == shard.buckets.end() || bucketIt->second.empty()) {
+  BatchWindow& window = shard.windows[keyIndex];
+  if (window.queued == 0) {
     return;
   }
-  std::vector<PendingRequest>& bucket = bucketIt->second;
-  const std::size_t take =
-      std::min<std::size_t>(bucket.size(),
-                            static_cast<std::size_t>(config_.maxBatch));
   const double now = sim.now();
+  const serve::ProblemKey& key = keys_[static_cast<std::size_t>(keyIndex)];
+  std::vector<serve::QueuedRequest> taken =
+      shard.queue.take(key, config_.maxBatch);
+  window.queued -= static_cast<index_t>(taken.size());
 
   InFlightBatch batch;
   batch.shard = shardIndex;
   batch.keyIndex = keyIndex;
-  batch.dispatchSeconds = now;
-  for (std::size_t i = 0; i < take; ++i) {
-    PendingRequest& req = bucket[i];
-    --shard.queuedRequests;
-    if (req.deadlineSeconds > 0.0 && now > req.deadlineSeconds) {
-      reject(req, serve::RequestStatus::kRejectedDeadline, now);
+  for (const serve::QueuedRequest& qr : taken) {
+    if (qr.deadlineSeconds > 0.0 && now > qr.deadlineSeconds) {
+      reject(traceOf(qr.request.id), isHedge(qr.request.id),
+             serve::RequestStatus::kRejectedDeadline);
       continue;
     }
-    batch.requests.push_back(req);
+    batch.copies.push_back(qr.request.id);
   }
-  bucket.erase(bucket.begin(),
-               bucket.begin() + static_cast<std::ptrdiff_t>(take));
-  ++shard.bucketGeneration[keyIndex];
-  if (!bucket.empty()) {
-    // Remainder starts a fresh window.
-    sim.schedule(now + config_.batchDelayUs * 1e-6, shard.node,
-                 EventClass::kBatchWindow, me_, shardIndex, keyIndex,
-                 static_cast<double>(shard.bucketGeneration[keyIndex]));
+  ++window.generation;
+  if (window.queued > 0) {
+    armWindow(sim, shardIndex, keyIndex);  // the remainder's fresh window
   }
-  if (batch.requests.empty()) {
+  if (batch.copies.empty()) {
     return;  // every picked request was already past its deadline
   }
 
@@ -349,30 +354,15 @@ void ServeWorkload::dispatchBucket(Simulator& sim, index_t shardIndex,
   // accounting shape (hits + misses == lookups; a coalesced batch costs
   // at most one factorization).
   const serve::TraceRequest& proto =
-      traceRequest(batch.requests.front().traceIndex);
-  ++stats_.cacheLookups;
-  double factorSeconds = 0.0;
-  auto cacheIt = shard.cache.find(keyIndex);
+      traceRequest(traceOf(batch.copies.front()));
   const double mult =
       topology_->nodeMultiplier(shard.node) * shard.slowFactor;
   const double rate = config_.hostGflops * 1e9 * mult;
-  if (cacheIt != shard.cache.end()) {
-    ++stats_.cacheHits;
-    cacheIt->second.lastTouch = ++shard.lruClock;
-  } else {
-    ++stats_.cacheMisses;
-    ++stats_.factorCount;
-    const double n = static_cast<double>(proto.n);
-    factorSeconds = (2.0 / 3.0) * n * n * n / rate;
-    CacheEntry entry;
-    entry.bytes = factorBytes(proto);
-    entry.lastTouch = ++shard.lruClock;
-    shard.cacheBytes += entry.bytes;
-    shard.cache.emplace(keyIndex, entry);
-    evictForBudget(shard);
-  }
   const double n = static_cast<double>(proto.n);
-  const double cols = static_cast<double>(batch.requests.size());
+  const bool hit = shard.cache->lookupPayloadFree(
+      key, static_cast<std::size_t>(factorBytes(proto)));
+  const double factorSeconds = hit ? 0.0 : (2.0 / 3.0) * n * n * n / rate;
+  const double cols = static_cast<double>(batch.copies.size());
   const double solveSeconds =
       static_cast<double>(config_.irIterations) * 2.0 * n * n * cols / rate +
       config_.solveOverheadUs * 1e-6;
@@ -388,9 +378,9 @@ void ServeWorkload::dispatchBucket(Simulator& sim, index_t shardIndex,
   batch.dispatchSeconds = startAt;
 
   ++stats_.batches;
-  stats_.batchedColumns += batch.requests.size();
-  stats_.maxBatchSize = std::max(
-      stats_.maxBatchSize, static_cast<index_t>(batch.requests.size()));
+  stats_.batchedColumns += batch.copies.size();
+  stats_.maxBatchSize = std::max(stats_.maxBatchSize,
+                                 static_cast<index_t>(batch.copies.size()));
 
   batches_.push_back(std::move(batch));
   sim.schedule(doneAt, shard.node, EventClass::kSolveDone, me_,
@@ -403,44 +393,24 @@ void ServeWorkload::crashShard(Simulator& sim, index_t shardIndex) {
     return;
   }
   shard.crashed = true;
-  ++shard.pulseGeneration;  // pending heartbeat pulses are now stale
+  ++shard.generation;  // the armed idle tick is now stale
   // A crash loses the cached factors (a real node death does).
-  shard.cache.clear();
-  shard.cacheBytes = 0.0;
+  shard.cache->clear();
   shard.busyUntil = 0.0;
-  // Queued requests fail over along the ring.
-  const double now = sim.now();
-  for (auto& [keyIndex, bucket] : shard.buckets) {
-    for (PendingRequest& req : bucket) {
-      --shard.queuedRequests;
-      const auto stIt = reqState_.find(req.traceIndex);
-      if (req.hedgeCopy ||
-          (stIt != reqState_.end() && stIt->second.answered)) {
-        ++stats_.hedgeWasted;  // a losing copy dies with the shard
-        continue;
-      }
-      if (req.failovers >= config_.failoverLimit) {
-        failCopy(req);
-        continue;
-      }
-      const index_t next = routeShard(keyIndex, now);
-      if (next < 0) {
-        failCopy(req);
-        continue;
-      }
-      ++req.failovers;
-      ++stats_.failovers;
-      const double hop = topology_->transferSeconds(
-          shard.node, shardNode(next), config_.requestBytes, config_.shards);
-      pendingMeta_[req.traceIndex] = req;
-      sim.schedule(now + hop, shardNode(next), EventClass::kRequestArrival,
-                   me_, req.traceIndex, next);
+  // Queued requests fail over along the ring, key by key in interning
+  // order, each key's requests in FIFO order.
+  for (index_t k = 0; k < static_cast<index_t>(keys_.size()) &&
+                      !shard.queue.empty();
+       ++k) {
+    for (const serve::QueuedRequest& qr : shard.queue.take(
+             keys_[static_cast<std::size_t>(k)], config_.queueDepth)) {
+      failOver(sim, traceOf(qr.request.id), isHedge(qr.request.id),
+               shardIndex, k);
     }
   }
-  shard.buckets.clear();
-  shard.bucketGeneration.clear();
-  shard.queuedRequests = 0;
-  breaker_.onFailure(sentinels_[static_cast<std::size_t>(shardIndex)], now);
+  shard.windows.clear();
+  breaker_.onFailure(sentinels_[static_cast<std::size_t>(shardIndex)],
+                     sim.now());
 }
 
 void ServeWorkload::handle(Simulator& sim, const Event& event) {
@@ -454,21 +424,18 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
       if (toShard < 0) {
         // Router step: pick the shard, pay the wire.
         ++stats_.submitted;
-        PendingRequest req;
-        req.traceIndex = traceIdx;
-        req.arrivalSeconds = now;
+        RequestState& st = reqState_[static_cast<std::size_t>(traceIdx)];
+        st.arrivalSeconds = now;
         const double deadlineMs =
             r.deadlineMs > 0.0 ? r.deadlineMs : config_.defaultDeadlineMs;
-        req.deadlineSeconds =
-            deadlineMs > 0.0 ? now + deadlineMs * 1e-3 : 0.0;
+        st.deadlineSeconds = deadlineMs > 0.0 ? now + deadlineMs * 1e-3 : 0.0;
         const index_t shard = routeShard(keyIdx, now);
         if (shard < 0) {
           (void)markAnswered(traceIdx);
           ++stats_.failed;  // nobody healthy to route to
           break;
         }
-        pendingMeta_[traceIdx] = req;
-        reqState_[traceIdx].primaryShard = shard;
+        st.primaryShard = shard;
         const double hop = topology_->transferSeconds(
             0, shardNode(shard), config_.requestBytes, config_.shards);
         sim.schedule(now + hop, shardNode(shard),
@@ -480,65 +447,42 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
         break;
       }
       // Shard-side admission.
-      const auto metaIt = pendingMeta_.find(traceIdx);
-      if (metaIt == pendingMeta_.end()) {
+      const RequestState& st = reqState_[static_cast<std::size_t>(traceIdx)];
+      if (st.answered) {
         break;  // another copy already answered this request
       }
-      PendingRequest req = metaIt->second;
-      req.hedgeCopy = event.x > 0.5;
+      const bool hedge = event.x > 0.5;
       Shard& shard = shards_[static_cast<std::size_t>(toShard)];
       if (shard.crashed) {
         // Crashed between routing and arrival: fail over (hedge copies
         // never fail over — the primary is still in flight).
-        if (req.hedgeCopy) {
-          ++stats_.hedgeWasted;
-          break;
-        }
-        if (req.failovers >= config_.failoverLimit) {
-          failCopy(req);
-          break;
-        }
-        const index_t next = routeShard(keyIdx, now);
-        if (next < 0) {
-          failCopy(req);
-          break;
-        }
-        ++req.failovers;
-        ++stats_.failovers;
-        pendingMeta_[traceIdx] = req;
-        const double hop = topology_->transferSeconds(
-            shard.node, shardNode(next), config_.requestBytes,
-            config_.shards);
-        sim.schedule(now + hop, shardNode(next), EventClass::kRequestArrival,
-                     me_, traceIdx, next);
+        failOver(sim, traceIdx, hedge, toShard, keyIdx);
         break;
       }
       ++shard.routed;
       if (!breaker_.allow(sentinels_[static_cast<std::size_t>(toShard)],
                           now)) {
-        reject(req, serve::RequestStatus::kRejectedCircuitOpen, now);
+        reject(traceIdx, hedge, serve::RequestStatus::kRejectedCircuitOpen);
         break;
       }
-      if (req.deadlineSeconds > 0.0 && now > req.deadlineSeconds) {
-        reject(req, serve::RequestStatus::kRejectedDeadline, now);
+      if (st.deadlineSeconds > 0.0 && now > st.deadlineSeconds) {
+        reject(traceIdx, hedge, serve::RequestStatus::kRejectedDeadline);
         break;
       }
-      if (shard.queuedRequests >= config_.queueDepth) {
-        reject(req, serve::RequestStatus::kRejectedQueueFull, now);
+      serve::QueuedRequest qr;
+      qr.request.id = copyId(traceIdx, hedge);
+      qr.request.key = keys_[static_cast<std::size_t>(keyIdx)];
+      qr.submitSeconds = now;
+      qr.deadlineSeconds = st.deadlineSeconds;
+      if (!shard.queue.push(std::move(qr))) {
+        reject(traceIdx, hedge, serve::RequestStatus::kRejectedQueueFull);
         break;
       }
-      std::vector<PendingRequest>& bucket = shard.buckets[keyIdx];
-      const bool wasEmpty = bucket.empty();
-      bucket.push_back(req);
-      ++shard.queuedRequests;
-      stats_.peakQueueDepth =
-          std::max(stats_.peakQueueDepth, shard.queuedRequests);
-      if (static_cast<index_t>(bucket.size()) >= config_.maxBatch) {
+      const index_t queued = ++shard.windows[keyIdx].queued;
+      if (queued >= config_.maxBatch) {
         dispatchBucket(sim, toShard, keyIdx);
-      } else if (wasEmpty) {
-        sim.schedule(now + config_.batchDelayUs * 1e-6, shard.node,
-                     EventClass::kBatchWindow, me_, toShard, keyIdx,
-                     static_cast<double>(shard.bucketGeneration[keyIdx]));
+      } else if (queued == 1) {
+        armWindow(sim, toShard, keyIdx);
       }
       break;
     }
@@ -549,9 +493,8 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
       if (shard.crashed) {
         break;
       }
-      const auto gen = static_cast<double>(shard.bucketGeneration[keyIdx]);
-      if (gen != event.x) {
-        break;  // the bucket this window armed for already dispatched
+      if (static_cast<double>(shard.windows[keyIdx].generation) != event.x) {
+        break;  // the batch this window was armed for already dispatched
       }
       dispatchBucket(sim, shardIdx, keyIdx);
       break;
@@ -562,62 +505,44 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
       Shard& shard = shards_[static_cast<std::size_t>(batch.shard)];
       if (shard.crashed) {
         // The shard died mid-solve; surviving requests fail over.
-        for (PendingRequest& req : batch.requests) {
-          const auto stIt = reqState_.find(req.traceIndex);
-          if (req.hedgeCopy ||
-              (stIt != reqState_.end() && stIt->second.answered)) {
-            ++stats_.hedgeWasted;  // the losing copy dies with the shard
-            continue;
-          }
-          if (req.failovers >= config_.failoverLimit) {
-            failCopy(req);
-            continue;
-          }
-          const index_t next = routeShard(batch.keyIndex, now);
-          if (next < 0) {
-            failCopy(req);
-            continue;
-          }
-          ++req.failovers;
-          ++stats_.failovers;
-          pendingMeta_[req.traceIndex] = req;
-          const double hop = topology_->transferSeconds(
-              shard.node, shardNode(next), config_.requestBytes,
-              config_.shards);
-          sim.schedule(now + hop, shardNode(next),
-                       EventClass::kRequestArrival, me_, req.traceIndex,
-                       next);
+        for (const std::uint64_t id : batch.copies) {
+          failOver(sim, traceOf(id), isHedge(id), batch.shard,
+                   batch.keyIndex);
         }
-        batch.requests.clear();
+        batch.copies = {};
         break;
       }
       breaker_.onSuccess(sentinels_[static_cast<std::size_t>(batch.shard)]);
-      // Completions heal a probing shard, but deliberately do NOT feed the
-      // phi stream: a busy-but-slow shard completes constantly, and those
-      // arrivals would mask the stretched pulse cadence that IS the
-      // gray-failure signal. Only the periodic pulse carries it.
+      // Completions only give probe verdicts; the lane's pulse below is
+      // the phi stream.
       if (config_.health.enabled &&
           healthMon_.state(batch.shard, now) ==
               serve::HealthState::kProbing) {
         healthMon_.onOutcome(batch.shard, true, now);
       }
-      for (const PendingRequest& req : batch.requests) {
-        if (!markAnswered(req.traceIndex)) {
+      for (const std::uint64_t id : batch.copies) {
+        const index_t traceIdx = traceOf(id);
+        if (!markAnswered(traceIdx)) {
           ++stats_.hedgeWasted;  // the other copy answered first
           continue;
         }
-        if (req.hedgeCopy) {
+        if (isHedge(id)) {
           ++stats_.hedgeWins;
         }
         ++stats_.completed;
         ++shard.completed;
-        stats_.queueWaitSeconds.push_back(batch.dispatchSeconds -
-                                          req.arrivalSeconds);
+        const double arrival =
+            reqState_[static_cast<std::size_t>(traceIdx)].arrivalSeconds;
+        stats_.queueWaitSeconds.push_back(batch.dispatchSeconds - arrival);
         stats_.solveSeconds.push_back(batch.solveCost);
-        stats_.totalSeconds.push_back(now - req.arrivalSeconds);
-        pendingMeta_.erase(req.traceIndex);
+        stats_.totalSeconds.push_back(now - arrival);
       }
-      batch.requests.clear();
+      batch.copies = {};
+      if (shard.busyUntil <= now) {
+        idleTick(sim, batch.shard);  // nothing queued behind: lane idles
+      } else {
+        pulse(batch.shard, now);
+      }
       break;
     }
     case EventClass::kCrash:
@@ -627,11 +552,9 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
       Shard& shard = shards_[static_cast<std::size_t>(event.a)];
       shard.crashed = false;  // cold cache, healthy again
       shard.busyUntil = now;
-      ++shard.pulseGeneration;
+      shard.nextPulse = now;  // a restarted lane pulses as it starts
       breaker_.onSuccess(sentinels_[static_cast<std::size_t>(event.a)]);
-      if (config_.health.enabled) {
-        scheduleHeartbeat(sim, static_cast<index_t>(event.a));
-      }
+      idleTick(sim, static_cast<index_t>(event.a));
       break;
     }
     case EventClass::kSlowdown: {
@@ -641,15 +564,12 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
     }
     case EventClass::kHeartbeat: {
       const index_t shardIdx = static_cast<index_t>(event.a);
-      Shard& shard = shards_[static_cast<std::size_t>(shardIdx)];
-      if (shard.crashed || event.b != shard.pulseGeneration) {
-        break;  // stale pulse from before a crash/resurrect
+      const Shard& shard = shards_[static_cast<std::size_t>(shardIdx)];
+      if (shard.crashed || event.b != shard.generation ||
+          shard.busyUntil > now) {
+        break;  // stale, or the lane is solving: its batch end pulses
       }
-      healthMon_.heartbeat(shardIdx, now);
-      ++stats_.heartbeats;
-      if (!done()) {
-        scheduleHeartbeat(sim, shardIdx);
-      }
+      idleTick(sim, shardIdx);
       break;
     }
     case EventClass::kHedgeFire:
@@ -664,6 +584,23 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
   }
 }
 
+ServeStats ServeWorkload::stats() const {
+  ServeStats out = stats_;
+  for (const Shard& shard : shards_) {
+    const serve::FactorCache::Stats c = shard.cache->stats();
+    out.cache.lookups += c.lookups;
+    out.cache.hits += c.hits;
+    out.cache.misses += c.misses;
+    out.cache.coalesced += c.coalesced;
+    out.cache.evictions += c.evictions;
+    out.cache.factorCount += c.factorCount;
+    out.cache.bytesInUse += c.bytesInUse;
+    out.cache.budgetBytes += c.budgetBytes;
+    out.peakQueueDepth = std::max(out.peakQueueDepth, shard.queue.peakDepth());
+  }
+  return out;
+}
+
 ServeWorkload::ShardView ServeWorkload::shardView(index_t shard) const {
   HPLMXP_REQUIRE(shard >= 0 && shard < config_.shards, "shard out of range");
   const Shard& s = shards_[static_cast<std::size_t>(shard)];
@@ -672,28 +609,13 @@ ServeWorkload::ShardView ServeWorkload::shardView(index_t shard) const {
   view.node = s.node;
   view.crashed = s.crashed;
   view.slowFactor = s.slowFactor;
-  view.queuedRequests = s.queuedRequests;
-  view.cachedKeys = static_cast<index_t>(s.cache.size());
-  view.cachedMb = s.cacheBytes / (1024.0 * 1024.0);
+  view.queuedRequests = s.queue.depth();
+  view.cachedKeys = static_cast<index_t>(s.cache->size());
+  view.cachedMb =
+      static_cast<double>(s.cache->stats().bytesInUse) / (1024.0 * 1024.0);
   view.routed = s.routed;
   view.completed = s.completed;
   view.busyUntil = s.busyUntil;
-  return view;
-}
-
-ServeWorkload::HealthView ServeWorkload::healthView(index_t shard,
-                                                    double now) {
-  HPLMXP_REQUIRE(shard >= 0 && shard < config_.shards, "shard out of range");
-  const serve::ShardHealthMonitor::ShardSnapshot snap =
-      healthMon_.shardSnapshot(shard, now);
-  HealthView view;
-  view.shard = shard;
-  view.node = shards_[static_cast<std::size_t>(shard)].node;
-  view.state = serve::toString(snap.state);
-  view.phi = snap.phi;
-  view.lastHeartbeatAge = snap.lastHeartbeatAge;
-  view.heartbeats = snap.heartbeats;
-  view.quarantines = snap.quarantines;
   return view;
 }
 

@@ -1,18 +1,19 @@
-// Serve-fleet workload: a request trace replayed against lightweight
-// state machines of the sharded serving tier, entirely on virtual time.
+// Serve-fleet workload: a request trace replayed against the sharded
+// serving tier, entirely on virtual time.
 //
-// The real fleet's *policy* components are reused verbatim where they are
-// already pure functions of an explicit clock — the consistent-hash
-// router (serve::HashRing) and the per-shard drain gate
-// (serve::CircuitBreaker). The stateful per-shard machinery (byte-budget
-// LRU factor cache, batch window, bounded queue, worker lane) is
-// re-modelled as plain counters and maps: the simulator needs their
-// *timing and accounting* behavior, not their payloads. Accounting
-// mirrors the real engine so the validation against a measured
-// BENCH_serve.json compares like with like — one cache lookup per
-// dispatched batch (a coalesced batch costs exactly one factorization,
-// the single-flight contract), hits + misses == lookups, and the same
-// latency split (queue wait / solve / total).
+// The real fleet's components run verbatim: the consistent-hash router
+// (serve::HashRing), the per-shard drain gate (serve::CircuitBreaker), the
+// phi-accrual detector (serve::ShardHealthMonitor), and per shard the
+// admission-bounded per-key FIFO queue (serve::RequestQueue) and the
+// byte-budget LRU factor cache (serve::FactorCache, payload-free: entries
+// carry their size, never factors). The shard's one worker lane and its
+// batching stay a model: a key's requests wait one batch window (or
+// until a full batch queues) and the batch runs after whatever the lane
+// is already solving. Accounting follows the real engine so the
+// validation against a measured BENCH_serve.json compares like with
+// like — one cache lookup per dispatched batch (a coalesced batch costs
+// exactly one factorization, the single-flight contract), hits + misses
+// == lookups, and the same latency split (queue wait / solve / total).
 //
 // Chaos vocabulary matches the serve CLI: crash-at/crash-shard kills a
 // shard (cache and queue contents included), pending and future requests
@@ -21,14 +22,17 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "fleetsim/event_core.h"
 #include "fleetsim/topology.h"
 #include "serve/breaker.h"
+#include "serve/factor_cache.h"
 #include "serve/fleet/hash_ring.h"
 #include "serve/fleet/health.h"
 #include "serve/metrics.h"
+#include "serve/request_queue.h"
 #include "serve/trace_io.h"
 
 namespace hplmxp::fleetsim {
@@ -63,13 +67,12 @@ struct ServeWorkloadConfig {
 
   /// Gray-failure defense, co-simulated with the SAME policy component the
   /// live fleet runs (serve::ShardHealthMonitor) so detector thresholds
-  /// tuned here land unchanged in FleetConfig::healthMonitor. Default OFF:
-  /// a defense-off run schedules no heartbeat/hedge events, preserving
-  /// existing golden trace hashes.
+  /// tuned here land unchanged in FleetConfig::healthMonitor. Each lane
+  /// pulses it by the live worker's rule (ServeConfig::pulse): once per
+  /// `heartbeatIntervalSeconds` of lane time, checked at every batch end
+  /// and on an idle tick. Default OFF: a defense-off run schedules no
+  /// tick or hedge events, preserving existing golden trace hashes.
   serve::HealthConfig health{false};
-  /// Periodic shard liveness pulses feeding the phi detector; a slowed
-  /// shard (slowFactor f) pulses every heartbeatIntervalMs / f.
-  double heartbeatIntervalMs = 10.0;
 
   /// Hedged requests (first answer wins). Delay = hedgeDelayFactor x the
   /// recent completed-total p95, clamped to [hedgeMinDelayMs, inf); the
@@ -96,16 +99,14 @@ struct ServeStats {
   std::uint64_t failed = 0;
   std::uint64_t failovers = 0;
 
-  std::uint64_t cacheLookups = 0;
-  std::uint64_t cacheHits = 0;
-  std::uint64_t cacheMisses = 0;
-  std::uint64_t factorCount = 0;
-  std::uint64_t evictions = 0;
+  /// Summed over the shards' serve::FactorCache stats.
+  serve::FactorCache::Stats cache;
+  /// Deepest any shard's serve::RequestQueue got.
+  index_t peakQueueDepth = 0;
 
   std::uint64_t batches = 0;
   std::uint64_t batchedColumns = 0;
   index_t maxBatchSize = 0;
-  index_t peakQueueDepth = 0;
   std::uint64_t breakerTrips = 0;
 
   // Gray-failure defense tallies (all zero with the defense off).
@@ -125,12 +126,7 @@ struct ServeStats {
   std::vector<double> solveSeconds;
   std::vector<double> totalSeconds;
 
-  [[nodiscard]] double hitRate() const {
-    return cacheLookups == 0
-               ? 0.0
-               : static_cast<double>(cacheHits) /
-                     static_cast<double>(cacheLookups);
-  }
+  [[nodiscard]] double hitRate() const { return cache.hitRate(); }
   [[nodiscard]] double meanBatchSize() const {
     return batches == 0 ? 0.0
                         : static_cast<double>(batchedColumns) /
@@ -147,7 +143,8 @@ class ServeWorkload final : public Workload {
   void handle(Simulator& sim, const Event& event) override;
   [[nodiscard]] bool done() const override;
 
-  [[nodiscard]] const ServeStats& stats() const { return stats_; }
+  /// Router and lane tallies plus the shards' cache and queue counters.
+  [[nodiscard]] ServeStats stats() const;
   [[nodiscard]] const ServeWorkloadConfig& config() const { return config_; }
 
   /// Per-shard snapshot for the CLI's `show shard|cache|queue` views.
@@ -166,85 +163,84 @@ class ServeWorkload final : public Workload {
   [[nodiscard]] ShardView shardView(index_t shard) const;
   [[nodiscard]] index_t shardNode(index_t shard) const;
 
-  /// Per-shard phi-detector snapshot for the CLI's `show health` view.
-  struct HealthView {
-    index_t shard = 0;
-    index_t node = 0;
-    std::string state = "healthy";
-    double phi = 0.0;
-    double lastHeartbeatAge = 0.0;  // seconds of virtual time
-    std::uint64_t heartbeats = 0;
-    std::uint64_t quarantines = 0;
-  };
-  [[nodiscard]] HealthView healthView(index_t shard, double now);
+  /// The phi-accrual detector, for the CLI's `show health` view (mutable:
+  /// snapshots advance its state machine).
+  [[nodiscard]] serve::ShardHealthMonitor& healthMonitor() {
+    return healthMon_;
+  }
 
  private:
-  struct PendingRequest {
-    index_t traceIndex = 0;
+  /// Router-side fate of one trace request across all its copies: the
+  /// first terminal event answers it; later copies are wasted hedge work.
+  /// Deadline and failover count live here too, so queued copies carry
+  /// only their trace index.
+  struct RequestState {
     double arrivalSeconds = 0.0;   // first submission instant
     double deadlineSeconds = 0.0;  // absolute; 0 = none
     index_t failovers = 0;
-    bool hedgeCopy = false;  // this in-flight copy is the speculative one
-  };
-
-  /// Router-side fate of one trace request across all its copies: the
-  /// first terminal event answers it; later copies are wasted hedge work.
-  struct RequestState {
     index_t primaryShard = -1;
     bool answered = false;
   };
 
-  struct CacheEntry {
-    double bytes = 0.0;
-    std::uint64_t lastTouch = 0;  // LRU clock (deterministic counter)
+  /// One key's batch window on a shard: the requests queued under it, and
+  /// a generation each dispatch bumps so a stale window event is dropped.
+  struct BatchWindow {
+    index_t queued = 0;
+    std::uint64_t generation = 0;
   };
 
   struct Shard {
+    Shard(index_t queueDepth, std::size_t cacheBytes)
+        : queue(queueDepth),
+          cache(std::make_unique<serve::FactorCache>(cacheBytes)) {}
     index_t node = 0;
     bool crashed = false;
     double slowFactor = 1.0;
     double busyUntil = 0.0;
+    double nextPulse = 0.0;  // when the lane's next liveness pulse is due
     std::uint64_t routed = 0;
     std::uint64_t completed = 0;
-    /// Heartbeat pulse generation: crash/resurrect bump it so stale
-    /// scheduled pulses are dropped instead of pulsing for a dead shard.
-    std::int64_t pulseGeneration = 0;
-    // Batching buckets: key index -> waiting requests (FIFO).
-    std::map<index_t, std::vector<PendingRequest>> buckets;
-    std::map<index_t, std::uint64_t> bucketGeneration;
-    index_t queuedRequests = 0;
-    std::map<index_t, CacheEntry> cache;  // key index -> entry
-    double cacheBytes = 0.0;
-    std::uint64_t lruClock = 0;
+    /// Idle-tick generation: every re-armed tick and every crash bumps it,
+    /// so stale ticks are dropped instead of pulsing for a dead shard.
+    std::int64_t generation = 0;
+    serve::RequestQueue queue;
+    std::unique_ptr<serve::FactorCache> cache;
+    std::map<index_t, BatchWindow> windows;  // key index -> window
   };
 
   struct InFlightBatch {
     index_t shard = 0;
     index_t keyIndex = 0;
-    std::vector<PendingRequest> requests;
+    std::vector<std::uint64_t> copies;  // queued request ids (copyId)
     double dispatchSeconds = 0.0;
     double solveCost = 0.0;  // factor + solve, for the latency split
   };
 
   [[nodiscard]] const serve::TraceRequest& traceRequest(index_t i) const;
-  [[nodiscard]] serve::ProblemKey keyOf(const serve::TraceRequest& r) const;
   [[nodiscard]] index_t keyIndexOf(const serve::TraceRequest& r);
   [[nodiscard]] index_t routeShard(index_t keyIndex, double now);
   [[nodiscard]] double factorBytes(const serve::TraceRequest& r) const;
+  void armWindow(Simulator& sim, index_t shardIndex, index_t keyIndex);
   void dispatchBucket(Simulator& sim, index_t shardIndex, index_t keyIndex);
   void crashShard(Simulator& sim, index_t shardIndex);
-  void evictForBudget(Shard& shard);
-  void reject(const PendingRequest& req, serve::RequestStatus status,
-              double now);
+  /// Re-routes a copy that lost its shard along the ring (hedge copies
+  /// and already-answered requests are wasted work instead).
+  void failOver(Simulator& sim, index_t traceIndex, bool hedge,
+                index_t fromShard, index_t keyIndex);
+  void reject(index_t traceIndex, bool hedge, serve::RequestStatus status);
   /// True when this copy's terminal event answered the request; false when
   /// another copy already had (the caller tallies wasted hedge work).
   [[nodiscard]] bool markAnswered(index_t traceIndex);
-  void scheduleHeartbeat(Simulator& sim, index_t shardIndex);
+  /// The lane's liveness pulse into the phi detector, sent when one
+  /// heartbeat interval of lane time has passed since the last one.
+  void pulse(index_t shardIndex, double now);
+  /// An idle lane pulses if due and arms its tick for the next pulse.
+  void idleTick(Simulator& sim, index_t shardIndex);
   [[nodiscard]] double hedgeDelaySeconds() const;
   void fireHedge(Simulator& sim, index_t traceIndex, double now);
   /// Hedge-aware terminal failure: a primary copy counts as failed (if
   /// still unanswered); a hedge copy's failure is swallowed as waste.
-  void failCopy(const PendingRequest& req);
+  void failCopy(index_t traceIndex, bool hedge);
 
   ServeWorkloadConfig config_;
   const Topology* topology_;
@@ -258,17 +254,13 @@ class ServeWorkload final : public Workload {
   std::map<serve::ProblemKey, index_t> keyIndex_;
   std::vector<serve::ProblemKey> keys_;
   std::vector<InFlightBatch> batches_;
-  /// Router-side request state (deadline, failover count) keyed by trace
-  /// index; shard-arrival events carry only the index.
-  std::map<index_t, PendingRequest> pendingMeta_;
-  std::map<index_t, RequestState> reqState_;
+  /// Router-side request state, indexed by trace index; shard-arrival
+  /// events carry only the index.
+  std::vector<RequestState> reqState_;
   double hedgeTokens_ = 0.0;
   double hedgeRefillAt_ = 0.0;
   index_t me_ = -1;
-  index_t outstanding_ = 0;  // submitted - terminally answered
-  bool arrivalsDone_ = false;
   ServeStats stats_;
-  double cacheBudgetBytes_ = 0.0;
 };
 
 }  // namespace hplmxp::fleetsim

@@ -137,20 +137,38 @@ MeasuredKernelCurves measureKernelCurves(const std::vector<index_t>& sizes,
           {static_cast<double>(s), blas::getrfFlops(s) / secs});
     }
 
-    {
-      std::vector<float> tri(count);
-      std::vector<float> rhs(count);
-      fillPattern(tri.data(), count, 23);
-      fillPattern(rhs.data(), count, 31);
-      const double secs = bestSeconds(reps, [&] {
-        blas::strsm(blas::Side::kLeft, blas::Uplo::kLower, blas::Diag::kUnit,
-                    s, s, 1.0f, tri.data(), s, rhs.data(), s, pool);
-      });
-      curves.trsm.push_back({static_cast<double>(s),
-                             blas::trsmFlops(blas::Side::kLeft, s, s) / secs});
-    }
+    curves.trsm.push_back(
+        {static_cast<double>(s), blas::trsmFlops(blas::Side::kLeft, s, s) /
+                                     trsmRungSeconds(s, pool, reps)});
   }
   return curves;
+}
+
+double trsmRungSeconds(index_t s, ThreadPool* pool, int reps,
+                       std::vector<float>* solution) {
+  HPLMXP_REQUIRE(s > 0, "trsmRungSeconds: size must be > 0");
+  const auto count =
+      static_cast<std::size_t>(s) * static_cast<std::size_t>(s);
+  // Unit diagonal with off-diagonal entries in [-1/s, 1/s): every row is
+  // diagonally dominant, so the solution stays within e of the rhs.
+  std::vector<float> tri(count);
+  fillPattern(tri.data(), count, 23);
+  const float scale = 1.0f / static_cast<float>(s);
+  for (float& v : tri) {
+    v *= scale;
+  }
+  std::vector<float> fresh(count);
+  fillPattern(fresh.data(), count, 31);
+  std::vector<float> rhs;
+  const double secs = bestSeconds(reps, [&] {
+    rhs = fresh;  // solve the same right-hand sides every rep
+    blas::strsm(blas::Side::kLeft, blas::Uplo::kLower, blas::Diag::kUnit, s,
+                s, 1.0f, tri.data(), s, rhs.data(), s, pool);
+  });
+  if (solution != nullptr) {
+    *solution = std::move(rhs);
+  }
+  return secs;
 }
 
 bool saveTuneTable(const std::string& path, const GemmTuneResult& tune,

@@ -49,6 +49,14 @@ MeasuredKernelCurves measureKernelCurves(const std::vector<index_t>& sizes,
                                          ThreadPool* pool = nullptr,
                                          int reps = 2);
 
+/// The TRSM rung of measureKernelCurves: best-of-`reps` seconds for an
+/// s x s left-lower unit-diagonal solve on a diagonally dominant triangle,
+/// the right-hand sides restored before every repetition so each timed
+/// solve runs on the same bounded data. `solution`, when given, receives
+/// the last repetition's result.
+double trsmRungSeconds(index_t s, ThreadPool* pool = nullptr, int reps = 2,
+                       std::vector<float>* solution = nullptr);
+
 /// Persists / restores a tune table as plain "key value..." text lines:
 ///   isa <sse2|avx2|avx512>
 ///   blocking <mc> <nc> <kc> <gflops>

@@ -245,15 +245,29 @@ ServeReport ServeEngine::report() const {
 
 void ServeEngine::workerLoop(index_t lane) {
   std::unique_lock<std::mutex> lock(mutex_);
+  double nextPulse = 0.0;  // a lane pulses as it starts
   for (;;) {
     if (stopping_ && queue_.empty()) {
       break;
     }
-    if (paused_ || queue_.empty()) {
-      cv_.wait(lock);
+    const double t = now();
+    if (config_.pulse && t >= nextPulse) {
+      lock.unlock();
+      const double interval = config_.pulse();
+      lock.lock();
+      nextPulse =
+          t + interval * serviceStretch_.load(std::memory_order_relaxed);
       continue;
     }
-    const double t = now();
+    if (paused_ || queue_.empty()) {
+      // Idle: sleep until work arrives or the next pulse falls due.
+      if (config_.pulse) {
+        cv_.wait_for(lock, secondsOf(nextPulse - t));
+      } else {
+        cv_.wait(lock);
+      }
+      continue;
+    }
     Batcher::Decision d = batcher_.decide(queue_, t);
     const bool isDegraded = degraded();
     if (isDegraded && !d.dispatch) {

@@ -100,6 +100,14 @@ struct ServeConfig {
   /// Must produce a Factorization for exactly the given key; exceptions
   /// flow through the normal retry-then-breaker path.
   std::function<Factorization(const ProblemKey&)> factorOverride;
+
+  /// Liveness pulse. When set, each worker lane calls it as it starts and
+  /// again once the (positive) interval it returned has passed in lane
+  /// time, checking after every batch it finishes and on an idle tick
+  /// while its queue is empty. A stretched engine (setServiceStretch) runs
+  /// its lanes' pulse cadence slow too. The fleet points it at its
+  /// phi-accrual detector, returning HealthConfig::heartbeatIntervalSeconds.
+  std::function<double()> pulse;
 };
 
 class ServeEngine {
@@ -171,9 +179,10 @@ class ServeEngine {
   }
   void clearCache() { cache_.clear(); }
   /// Gray-fault hook: stretches every batch's service time by `stretch`
-  /// (sleeping the extra (stretch-1)x after the solve) WITHOUT failing
-  /// anything — the slow-but-alive shard the fleet's phi detector and
-  /// hedging are tested against. 1.0 restores full speed.
+  /// (sleeping the extra (stretch-1)x after the solve), and the lanes'
+  /// pulse cadence with it, WITHOUT failing anything — the slow-but-alive
+  /// shard the fleet's phi detector and hedging are tested against. 1.0
+  /// restores full speed.
   void setServiceStretch(double stretch);
   [[nodiscard]] const CircuitBreaker& breaker() const { return breaker_; }
   /// True while enough circuits are open to shed batching and shrink

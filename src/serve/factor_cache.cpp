@@ -74,6 +74,26 @@ FactorCache::Fetch FactorCache::getOrFactor(
   }
 }
 
+bool FactorCache::lookupPayloadFree(const ProblemKey& key,
+                                    std::size_t bytes) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.lookups;
+  const auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    it->second.lastUse = ++useClock_;
+    ++stats_.hits;
+    return true;
+  }
+  ++stats_.misses;
+  ++stats_.factorCount;
+  Entry& entry = entries_[key];
+  entry.bytes = bytes;
+  entry.lastUse = ++useClock_;
+  bytesInUse_ += bytes;
+  evictForBudgetLocked();
+  return false;
+}
+
 void FactorCache::setEvictionListener(
     std::function<void(const ProblemKey&)> listener) {
   std::lock_guard<std::mutex> lock(mutex_);

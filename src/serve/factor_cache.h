@@ -62,6 +62,13 @@ class FactorCache {
   Fetch getOrFactor(const ProblemKey& key,
                     const std::function<Factorization()>& factorFn);
 
+  /// Payload-free lookup for virtual-time replays (fleetsim): the same
+  /// LRU order, byte budget and stats as getOrFactor, but a miss counts
+  /// one factorization and records a ready entry of `bytes` with no
+  /// factors behind it. Returns true on a hit. Its caller is single-
+  /// threaded, so no entry is ever in flight and nothing coalesces.
+  bool lookupPayloadFree(const ProblemKey& key, std::size_t bytes);
+
   /// Ready-entry lookup without factoring; nullptr on miss. Touches LRU.
   [[nodiscard]] std::shared_ptr<const Factorization> peek(
       const ProblemKey& key);

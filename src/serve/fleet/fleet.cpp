@@ -89,6 +89,16 @@ FleetEngine::FleetEngine(FleetConfig config)
     cfg.factorOverride = [this, s](const ProblemKey& key) {
       return groupFactor(s, key);
     };
+    if (config_.healthMonitor.enabled) {
+      // The shard's worker lanes are its heartbeat stream; a crashed
+      // shard's lanes are dead and send nothing.
+      cfg.pulse = [this, s, raw = shard.get()] {
+        if (!raw->crashed.load(std::memory_order_relaxed)) {
+          healthMon_.heartbeat(s, now());
+        }
+        return config_.healthMonitor.heartbeatIntervalSeconds;
+      };
+    }
     shard->engine = std::make_unique<ServeEngine>(std::move(cfg));
     shard->engine->setCacheEvictionListener(
         [this, s](const ProblemKey& key) { index_.noteEviction(key, s); });
@@ -284,10 +294,9 @@ void FleetEngine::routeToShard(index_t shard, const SolveRequest& request,
                        tried = std::move(tried), hedge,
                        shardHandle]() mutable {
     RequestOutcome o = shardHandle->outcome();
-    // Completions are the shard's heartbeat stream: a slow-but-alive
-    // shard reports late, the phi detector notices, and the shard drains
-    // long before the breaker would trip. Failures only matter here as
-    // probe verdicts; the breaker owns them otherwise.
+    // Outcomes are probe verdicts only: the shard's worker lanes pulse
+    // its heartbeat stream (ServeConfig::pulse), and the breaker owns
+    // failures otherwise.
     if (o.status == RequestStatus::kCompleted) {
       healthMon_.onOutcome(shard, true, now());
     } else if (o.status == RequestStatus::kFailed) {

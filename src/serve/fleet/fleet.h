@@ -94,9 +94,10 @@ struct FleetConfig {
   /// Shard-health breaker (per-shard sentinel keys; always enabled).
   BreakerConfig health{true, 3, 0.050, 1};
   /// Phi-accrual gray-failure detector (serve/fleet/health.h), fed by
-  /// shard completions. Quarantined shards are *deprioritized*, not
-  /// excluded: routing falls back to them when no preferred shard is
-  /// left, so the detector can never starve the fleet.
+  /// the shards' worker-lane pulses (one per heartbeatIntervalSeconds of
+  /// lane time). Quarantined shards are *deprioritized*, not excluded:
+  /// routing falls back to them when no preferred shard is left, so the
+  /// detector can never starve the fleet.
   HealthConfig healthMonitor;
   /// Speculative re-issue of slow requests (first answer wins).
   HedgeConfig hedge;

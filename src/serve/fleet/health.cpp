@@ -157,40 +157,24 @@ void ShardHealthMonitor::onOutcome(index_t shard, bool success, double now) {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = entry(shard);
-  if (e.state == HealthState::kProbing) {
-    if (success) {
-      // Healed. The stale gap that put the shard here must not re-trip
-      // the detector, so the probe's completion re-seeds the arrival
-      // clock without contributing the quarantine-sized interval.
-      e.state = HealthState::kHealthy;
-      e.stragglerStreak = 0;
-      e.seeded = true;
-      e.lastArrival = now;
-      ++e.heartbeats;
-    } else {
-      enterQuarantine(e, now);
-    }
+  // Outside probing an outcome is no evidence here: liveness comes from
+  // the worker lanes' pulses, and failures are the CircuitBreaker's
+  // business (a failing-fast shard has a *healthy* pulse cadence).
+  if (e.state != HealthState::kProbing) {
     return;
   }
   if (success) {
-    // Re-run heartbeat logic inline (the lock is not recursive).
-    if (e.seeded) {
-      const double interval = std::max(0.0, now - e.lastArrival);
-      if (static_cast<index_t>(e.window.size()) < config_.windowSize) {
-        e.window.push_back(interval);
-      } else {
-        e.window[static_cast<std::size_t>(e.windowNext)] = interval;
-        e.windowNext = (e.windowNext + 1) % config_.windowSize;
-      }
-    }
+    // Healed. The stale gap that put the shard here must not re-trip
+    // the detector, so the probe's completion re-seeds the arrival
+    // clock without contributing the quarantine-sized interval.
+    e.state = HealthState::kHealthy;
+    e.stragglerStreak = 0;
     e.seeded = true;
     e.lastArrival = now;
     ++e.heartbeats;
-    e.stragglerStreak = 0;
-    advance(e, now);
+  } else {
+    enterQuarantine(e, now);
   }
-  // Non-probe failures are the CircuitBreaker's evidence, not ours: a
-  // failing-fast shard has a *healthy* heartbeat cadence.
 }
 
 bool ShardHealthMonitor::routable(index_t shard, double now) {

@@ -4,9 +4,9 @@
 // The breaker only reacts to *failures*; a shard that is alive but 5x
 // slow never feeds it and quietly drags the fleet p99. The phi-accrual
 // detector (Hayashibara et al., the Akka/Cassandra lineage) instead
-// watches the shard's heartbeat cadence — here, completion events and
-// periodic pulses — and turns "how late is the next heartbeat" into a
-// continuous suspicion level:
+// watches the shard's heartbeat cadence — here, the pulses its worker
+// lanes send between batches and on idle ticks — and turns "how late is
+// the next heartbeat" into a continuous suspicion level:
 //
 //     phi(t) = -log10( P(interval > t) )
 //
@@ -101,8 +101,8 @@ class ShardHealthMonitor {
 
   ShardHealthMonitor(HealthConfig config, index_t shards);
 
-  /// Healthy-liveness evidence: a completion or a periodic pulse from the
-  /// shard at `now`. Records the inter-arrival interval and clears any
+  /// Healthy-liveness evidence: a worker lane's pulse from the shard at
+  /// `now`. Records the inter-arrival interval and clears any
   /// straggler streak. Does NOT heal a quarantined shard — that must
   /// pass through probing.
   void heartbeat(index_t shard, double now);
@@ -113,10 +113,10 @@ class ShardHealthMonitor {
   /// intervening heartbeat.
   void noteStraggler(index_t shard, double now);
 
-  /// Outcome of a request routed to the shard. A success is a heartbeat
-  /// and (while probing) a probe success that heals the shard; a failure
-  /// is a probe failure that re-quarantines it. Outside probing,
-  /// failures are the CircuitBreaker's business and are ignored here.
+  /// Outcome of a request routed to the shard: a probe verdict. While
+  /// probing, a success heals the shard and a failure re-quarantines it;
+  /// outside probing outcomes are ignored (liveness is the lanes' pulse,
+  /// failures the CircuitBreaker's business).
   void onOutcome(index_t shard, bool success, double now);
 
   /// Routing gate. Healthy and suspect shards route freely (suspect is a

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "lowp/precision.h"
+#include "serve/problem_key.h"
 #include "util/common.h"
 
 namespace hplmxp::serve {
@@ -46,6 +47,11 @@ struct TraceRequest {
   /// Storage rung for the factors ("fp16" | "bf16" | "fp8e4m3" |
   /// "fp8e5m2"); absent in the JSON means fp16, the paper's format.
   lowp::StoragePrecision precision = lowp::StoragePrecision::kFp16;
+
+  /// Cache / batching identity of the request (serve/problem_key.h).
+  [[nodiscard]] ProblemKey key() const {
+    return {n, b, seed, pr, pc, precision};
+  }
 };
 
 struct RequestTrace {

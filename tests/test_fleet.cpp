@@ -673,8 +673,73 @@ TEST(FleetEngineTest, ReportJsonCarriesGrayFailureFields) {
     EXPECT_DOUBLE_EQ(s.get("quarantines").asNumber(), 0.0);
     heartbeats += s.get("heartbeats").asNumber();
   }
-  // The completion fed the winner shard's heartbeat stream.
+  // The shards' worker lanes pulse their heartbeat streams (each pulses
+  // as it starts, then once per heartbeat interval).
   EXPECT_GE(heartbeats, 1.0);
+}
+
+TEST(FleetEngineTest, QuietGapsUnderSparseTrafficQuarantineNothing) {
+  // A healthy fleet whose traffic comes in short bursts separated by
+  // quiet gaps several heartbeat intervals long. Silence is not failure:
+  // idle lanes keep pulsing, so the phi detector must never quarantine a
+  // shard or detour a route.
+  FleetConfig cfg = fleetConfig(2);
+  FleetEngine fleet(cfg);
+  const auto gap = std::chrono::duration<double>(
+      6.0 * cfg.healthMonitor.heartbeatIntervalSeconds);
+  std::set<index_t> served;
+  std::uint64_t rhs = 900;
+  for (int round = 0; round < 4; ++round) {
+    for (std::uint64_t seed = 60; seed < 66; ++seed) {
+      const auto h = fleet.submit(request(key(32, 16, seed), ++rhs));
+      ASSERT_EQ(h->wait().status, RequestStatus::kCompleted)
+          << h->wait().error;
+      served.insert(h->wait().shard);
+    }
+    std::this_thread::sleep_for(gap);
+  }
+  fleet.drain();
+  const FleetReport report = fleet.report();
+  EXPECT_EQ(served.size(), 2u);  // both shards saw the bursts
+  EXPECT_EQ(report.quarantines, 0u);
+  EXPECT_EQ(report.healthDetours, 0u);
+  for (const ShardReport& s : report.perShard) {
+    EXPECT_EQ(s.healthState, "healthy") << "shard " << s.id;
+    EXPECT_GT(s.heartbeats, 0u) << "shard " << s.id;
+  }
+}
+
+TEST(FleetEngineTest, StretchedShardIsQuarantinedByItsSlowPulse) {
+  // The live half of the gray-failure defense: a shard stretched 10x runs
+  // its lanes' pulse cadence 10x slower too, so the phi detector
+  // quarantines it from silence alone while the healthy shard keeps its
+  // cadence, and a key whose primary is the slow shard detours.
+  FleetConfig cfg = fleetConfig(2);
+  FleetEngine fleet(cfg);
+  const double interval = cfg.healthMonitor.heartbeatIntervalSeconds;
+  // Both shards learn the configured cadence first.
+  std::this_thread::sleep_for(std::chrono::duration<double>(6 * interval));
+  fleet.slowShard(1, 10.0);
+  // Past one old-cadence pulse and well into the ten-times-longer gap.
+  std::this_thread::sleep_for(std::chrono::duration<double>(6 * interval));
+
+  ProblemKey victim;
+  for (std::uint64_t seed = 70;; ++seed) {
+    victim = key(32, 16, seed);
+    if (fleet.ring().route(victim, nullptr) == 1) {
+      break;
+    }
+  }
+  const auto h = fleet.submit(request(victim, 77));
+  ASSERT_EQ(h->wait().status, RequestStatus::kCompleted) << h->wait().error;
+  EXPECT_EQ(h->wait().shard, 0);
+  expectBitwise(h->solution(), soloSolution(victim, 77), "detoured answer");
+  fleet.drain();
+  const FleetReport report = fleet.report();
+  EXPECT_GE(report.perShard[1].quarantines, 1u);
+  EXPECT_EQ(report.perShard[0].quarantines, 0u);
+  EXPECT_GE(report.healthDetours, 1u);
+  EXPECT_EQ(report.dropped, 0u);
 }
 
 // ---------------------------------------- rank-group isolation (simmpi) --

@@ -249,15 +249,15 @@ FleetSimConfig serveConfig(index_t requests, index_t keys, double gapMs,
 TEST(ServeWorkloadTest, CompletesAllRequestsWithExactAccounting) {
   FleetSession session(serveConfig(100, 4, 0.5, 2));
   session.sim().run();
-  const ServeStats& stats = session.serve()->stats();
+  const ServeStats stats = session.serve()->stats();
   EXPECT_EQ(stats.submitted, 100u);
   EXPECT_EQ(stats.completed, 100u);
   EXPECT_TRUE(session.serve()->done());
   // Cache invariant: hits + misses == lookups; one factorization per
   // distinct key (nothing evicted at this scale).
-  EXPECT_EQ(stats.cacheHits + stats.cacheMisses, stats.cacheLookups);
-  EXPECT_EQ(stats.factorCount, 4u);
-  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses, stats.cache.lookups);
+  EXPECT_EQ(stats.cache.factorCount, 4u);
+  EXPECT_EQ(stats.cache.evictions, 0u);
   EXPECT_GT(stats.hitRate(), 0.0);
   // Latency series sizes match the completion count.
   EXPECT_EQ(stats.totalSeconds.size(), 100u);
@@ -269,13 +269,13 @@ TEST(ServeWorkloadTest, BackToBackBurstCoalescesIntoBatches) {
   // one factorization, one cache hit, and two solves.
   FleetSession session(serveConfig(16, 1, 0.0, 1));
   session.sim().run();
-  const ServeStats& stats = session.serve()->stats();
+  const ServeStats stats = session.serve()->stats();
   EXPECT_EQ(stats.completed, 16u);
   EXPECT_EQ(stats.batches, 2u);
   EXPECT_EQ(stats.maxBatchSize, 8);
-  EXPECT_EQ(stats.factorCount, 1u);
-  EXPECT_EQ(stats.cacheLookups, 2u);
-  EXPECT_EQ(stats.cacheHits, 1u);  // the second batch hits
+  EXPECT_EQ(stats.cache.factorCount, 1u);
+  EXPECT_EQ(stats.cache.lookups, 2u);
+  EXPECT_EQ(stats.cache.hits, 1u);  // the second batch hits
 }
 
 TEST(ServeWorkloadTest, QueueBoundRejectsAtDepth) {
@@ -286,7 +286,7 @@ TEST(ServeWorkloadTest, QueueBoundRejectsAtDepth) {
   cfg.serve.maxBatch = 64;
   FleetSession session(cfg);
   session.sim().run();
-  const ServeStats& stats = session.serve()->stats();
+  const ServeStats stats = session.serve()->stats();
   EXPECT_EQ(stats.rejectedQueueFull, 90u);
   EXPECT_EQ(stats.completed, 10u);
   EXPECT_EQ(stats.peakQueueDepth, 10);
@@ -301,7 +301,7 @@ TEST(ServeWorkloadTest, DeadlinesRejectLateRequests) {
   cfg.serve.defaultDeadlineMs = 0.5;
   FleetSession session(cfg);
   session.sim().run();
-  const ServeStats& stats = session.serve()->stats();
+  const ServeStats stats = session.serve()->stats();
   EXPECT_EQ(stats.rejectedDeadline, 20u);
   EXPECT_EQ(stats.completed, 0u);
   EXPECT_EQ(stats.batches, 0u);  // nothing survived to dispatch
@@ -327,7 +327,7 @@ TEST(ServeWorkloadTest, CrashFailsOverAndResurrectRestores) {
       {ChaosAction::Kind::kResurrect, /*atMs=*/50.0, hot, 0.0});
   FleetSession session(cfg);
   session.sim().run();
-  const ServeStats& stats = session.serve()->stats();
+  const ServeStats stats = session.serve()->stats();
   // Every request is answered exactly once; the crash shows up as
   // failovers to the ring successor, not as losses.
   EXPECT_TRUE(session.serve()->done());
@@ -378,7 +378,7 @@ FleetSimConfig grayConfig(bool defense) {
       {ChaosAction::Kind::kSlow, /*atMs=*/60.0, /*shard=*/1, 0.2});
   if (defense) {
     cfg.serve.health.enabled = true;
-    cfg.serve.heartbeatIntervalMs = 2.0;
+    cfg.serve.health.heartbeatIntervalSeconds = 0.002;
     cfg.serve.hedgeEnabled = true;
   }
   return cfg;
@@ -392,7 +392,7 @@ TEST(GrayDefenseTest, DefenseCutsTheSlowShardTailWithBoundedDuplicateWork) {
   // a single request may be dropped or double-answered.
   FleetSession off(grayConfig(false));
   off.sim().run();
-  const ServeStats& so = off.serve()->stats();
+  const ServeStats so = off.serve()->stats();
   ASSERT_EQ(so.submitted, 600u);
   ASSERT_EQ(so.completed, 600u);
   // Defense off schedules no defense events at all.
@@ -402,7 +402,7 @@ TEST(GrayDefenseTest, DefenseCutsTheSlowShardTailWithBoundedDuplicateWork) {
 
   FleetSession on(grayConfig(true));
   on.sim().run();
-  const ServeStats& sn = on.serve()->stats();
+  const ServeStats sn = on.serve()->stats();
   EXPECT_EQ(sn.submitted, 600u);
   EXPECT_EQ(sn.completed, 600u);  // every request answered exactly once
   EXPECT_EQ(sn.failed, 0u);
@@ -554,7 +554,7 @@ TEST(DebugCliTest, ErrorsAreCountedNotFatal) {
 TEST(DebugCliTest, ShowHealthRendersThePhiDetectorView) {
   FleetSimConfig cfg = serveConfig(40, 2, 0.5, 2, 8);
   cfg.serve.health.enabled = true;
-  cfg.serve.heartbeatIntervalMs = 2.0;
+  cfg.serve.health.heartbeatIntervalSeconds = 0.002;
   FleetSession session(cfg);
   std::istringstream script(
       "run\n"

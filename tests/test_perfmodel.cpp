@@ -3,6 +3,8 @@
 // selection, LDA pathology, GETRF-on-the-critical-path behaviour).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -227,6 +229,29 @@ TEST(Autotune, MeasuredCurvesFeedCalibration) {
   m.calibrate(curves);
   EXPECT_TRUE(m.calibrated());
   EXPECT_DOUBLE_EQ(m.gemmRate(32.0, 32.0, 32.0), curves.gemm[0].rate);
+}
+
+TEST(Autotune, TrsmRungTimesBoundedDataOnEveryRepetition) {
+  // The rung solves in place, so it must restore its right-hand sides
+  // before every repetition and use a triangle that does not amplify
+  // them; otherwise later repetitions time overflowed (inf/NaN) data.
+  ThreadPool pool(2);
+  std::vector<float> once;
+  std::vector<float> repeated;
+  EXPECT_GT(trsmRungSeconds(384, &pool, 1, &once), 0.0);
+  EXPECT_GT(trsmRungSeconds(384, &pool, 4, &repeated), 0.0);
+  ASSERT_EQ(once.size(), 384u * 384u);
+  float maxAbs = 0.0f;
+  for (const float v : repeated) {
+    ASSERT_TRUE(std::isfinite(v));
+    maxAbs = std::max(maxAbs, std::abs(v));
+  }
+  // rhs entries lie in [-1, 1); a row-dominant unit triangle keeps the
+  // solution within a factor e of them.
+  EXPECT_LE(maxAbs, 3.0f);
+  // Every repetition solves the same system: five solves (warmup + four)
+  // end where two (warmup + one) do.
+  EXPECT_EQ(repeated, once);
 }
 
 TEST(Autotune, TuneTableRoundTripsThroughDisk) {

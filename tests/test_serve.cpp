@@ -220,6 +220,32 @@ TEST(FactorCacheTest, EvictsLeastRecentlyUsedForBudget) {
   EXPECT_LE(cache.stats().bytesInUse, 2 * one + 64);
 }
 
+TEST(FactorCacheTest, PayloadFreeLookupsShareTheLruBudgetAndStats) {
+  // The virtual-time replay's mode: sized entries with no factors behind
+  // them, evicted and counted exactly like real ones.
+  FactorCache cache(250);
+  const ProblemKey k1 = key(32, 16, 1);
+  const ProblemKey k2 = key(32, 16, 2);
+  const ProblemKey k3 = key(32, 16, 3);
+  EXPECT_FALSE(cache.lookupPayloadFree(k1, 100));
+  EXPECT_FALSE(cache.lookupPayloadFree(k2, 100));
+  EXPECT_TRUE(cache.lookupPayloadFree(k1, 100));  // k2 is now LRU
+  EXPECT_FALSE(cache.lookupPayloadFree(k3, 100));
+  EXPECT_TRUE(cache.contains(k1));
+  EXPECT_FALSE(cache.contains(k2));
+  EXPECT_TRUE(cache.contains(k3));
+  const FactorCache::Stats s = cache.stats();
+  EXPECT_EQ(s.lookups, 4u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.factorCount, 3u);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.bytesInUse, 200u);
+  EXPECT_EQ(cache.peek(k1), nullptr);  // no payload, ever
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+}
+
 TEST(FactorCacheTest, SingleFlightCoalescesConcurrentMisses) {
   FactorCache cache(std::size_t{16} << 20);
   const ProblemKey k = key(32, 16, 9);
@@ -550,6 +576,42 @@ TEST(ServeEngineTest, BatchesCompatibleRequestsAndMatchesSoloBitwise) {
   EXPECT_EQ(report.maxBatchSize, static_cast<index_t>(rhsSeeds.size()));
 }
 
+TEST(ServeEngineTest, LanesPulseAsTheyStartOnIdleTicksAndBetweenBatches) {
+  std::atomic<int> pulses{0};
+  ServeConfig cfg;
+  cfg.workers = 2;
+  cfg.pulse = [&] {
+    pulses.fetch_add(1);
+    return 0.002;  // seconds to the next pulse
+  };
+  {
+    ServeEngine engine(cfg);
+    // An idle engine is alive: both lanes pulse as they start and then on
+    // idle ticks, with no request in sight.
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    const int idle = pulses.load();
+    EXPECT_GE(idle, 4);
+    for (std::uint64_t s = 1; s <= 4; ++s) {
+      ASSERT_EQ(engine.submit(request(key(32, 16, 9), s))->wait().status,
+                RequestStatus::kCompleted);
+    }
+    engine.drain();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_GT(pulses.load(), idle);
+
+    // A stretched (gray) engine runs its pulse cadence slow too.
+    engine.setServiceStretch(8.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int before = pulses.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    EXPECT_LE(pulses.load() - before, 2 * 80 / 16 + 2);
+  }
+  // A stopped engine's lanes are gone: no more pulses.
+  const int stopped = pulses.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(pulses.load(), stopped);
+}
+
 TEST(ServeEngineTest, RepeatedKeysHitTheCache) {
   ServeConfig cfg;
   cfg.maxBatchDelaySeconds = 0.0;  // no coalescing: every request solo
@@ -587,11 +649,11 @@ TEST(ServeEngineTest, RejectsKeysTheBackendCannotServe) {
   ServeEngine engine(ServeConfig{});
   ProblemKey distributed = key(64, 16, 1);
   distributed.pr = 2;
-  const RequestOutcome& grid = engine.submit(request(distributed, 1))->wait();
+  const RequestOutcome grid = engine.submit(request(distributed, 1))->wait();
   EXPECT_EQ(grid.status, RequestStatus::kFailed);
   EXPECT_NE(grid.error.find("1x1"), std::string::npos);
 
-  const RequestOutcome& shape =
+  const RequestOutcome shape =
       engine.submit(request(key(0, 16, 1), 1))->wait();
   EXPECT_EQ(shape.status, RequestStatus::kFailed);
 }
@@ -606,7 +668,7 @@ TEST(ServeEngineTest, InjectedDelaySurfacesAsDeadlineRejectionNotHang) {
   ServeEngine engine(cfg);
 
   const ProblemKey k = key(32, 16, 7);
-  const RequestOutcome& o = engine.submit(request(k, 1))->wait();
+  const RequestOutcome o = engine.submit(request(k, 1))->wait();
   EXPECT_EQ(o.status, RequestStatus::kRejectedDeadline);
   engine.drain();
   const ServeReport report = engine.report();
@@ -622,7 +684,7 @@ TEST(ServeEngineTest, TransientFaultsExhaustRetryBudgetIntoFailure) {
   cfg.maxRetries = 2;
   ServeEngine engine(cfg);
 
-  const RequestOutcome& o = engine.submit(request(key(32, 16, 8), 1))->wait();
+  const RequestOutcome o = engine.submit(request(key(32, 16, 8), 1))->wait();
   EXPECT_EQ(o.status, RequestStatus::kFailed);
   EXPECT_EQ(o.retries, 2);
   EXPECT_NE(o.error.find("retry budget"), std::string::npos);
@@ -642,7 +704,7 @@ TEST(ServeEngineTest, TransientFaultsWithinBudgetRecover) {
   std::uint64_t retries = 0;
   for (std::uint64_t s = 0; s < 6; ++s) {
     // Distinct keys so each request is its own batch (its own fault draw).
-    const RequestOutcome& o =
+    const RequestOutcome o =
         engine.submit(request(key(32, 16, 100 + s), 1))->wait();
     EXPECT_EQ(o.status, RequestStatus::kCompleted) << o.error;
     retries += static_cast<std::uint64_t>(o.retries);
